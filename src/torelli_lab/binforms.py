@@ -2,9 +2,9 @@
 
 A binary form of degree d is stored by its d+1 coefficients, index k holding
 the coefficient of Z0^(d-k) Z1^k, so the list read in ascending index order
-is also the affine polynomial in z = Z1/Z0.  Forms come in two parallel
-representations: exact (``fractions.Fraction`` entries) and complex floats,
-with explicit conversion from exact to complex.
+is also the affine polynomial in z = Z1/Z0.  Forms are exact: every
+coefficient is a ``fractions.Fraction``, and float or complex coefficients
+are rejected.  Forms still evaluate at complex points.
 
 Exact decisions (gcd, squarefreeness, multiplicity structure) are made in
 rational arithmetic via a primitive pseudo-remainder sequence, with a
@@ -445,7 +445,6 @@ class DivisorP1:
     """A multiset of points of P^1 with positive multiplicities."""
 
     points: tuple
-    min_separation: float = CLUSTER_TOL
     degree: int = field(init=False)
 
     def __post_init__(self):
@@ -455,10 +454,10 @@ class DivisorP1:
                 raise DivisorError("multiplicities must be positive")
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                if pts[i][0].chordal(pts[j][0]) <= self.min_separation:
+                if pts[i][0].chordal(pts[j][0]) <= CLUSTER_TOL:
                     raise DivisorError(
                         "divisor points are not separated at the clustering "
-                        f"scale {self.min_separation}")
+                        f"scale {CLUSTER_TOL}")
         pts = tuple(sorted(pts, key=lambda pm: pm[0]._sort_key()))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "degree", sum(m for _, m in pts))
@@ -472,9 +471,9 @@ class DivisorP1:
     def is_reduced(self) -> bool:
         return all(m == 1 for _, m in self.points)
 
-    def multiplicity_at(self, point: ProjectivePointP1, tol: float = CLUSTER_TOL) -> int:
+    def multiplicity_at(self, point: ProjectivePointP1) -> int:
         for p, m in self.points:
-            if p.chordal(point) <= tol:
+            if p.chordal(point) <= CLUSTER_TOL:
                 return m
         return 0
 
@@ -484,9 +483,10 @@ class DivisorP1:
 # ---------------------------------------------------------------------------
 
 class BinaryForm:
-    """Homogeneous form of fixed degree in (Z0, Z1)."""
+    """Homogeneous form of fixed degree in (Z0, Z1) with rational
+    coefficients."""
 
-    __slots__ = ("degree", "coeffs", "exact")
+    __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, coeffs):
         degree = int(degree)
@@ -497,14 +497,11 @@ class BinaryForm:
             raise ValueError(
                 f"degree {degree} needs {degree + 1} coefficients, "
                 f"got {len(coeffs)}")
-        exact = all(isinstance(c, (int, Fraction)) for c in coeffs)
-        if exact:
-            coeffs = tuple(Fraction(c) for c in coeffs)
-        else:
-            coeffs = tuple(complex(c) for c in coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise TypeError("binary forms are exact; coefficients must be "
+                            "int or Fraction")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryForm is immutable")
@@ -541,71 +538,49 @@ class BinaryForm:
         return list(self.coeffs)
 
     def affine_degree(self) -> int:
-        """Largest index with a (numerically) nonzero coefficient."""
-        if self.exact:
-            return poly_degree(self.coeffs)
-        mags = [abs(c) for c in self.coeffs]
-        scale = max(mags) if mags else 0.0
-        if scale == 0.0:
-            return -1
-        d = len(mags) - 1
-        while d >= 0 and mags[d] <= 1e-13 * scale:
-            d -= 1
-        return d
+        """Largest index with a nonzero coefficient."""
+        return poly_degree(self.coeffs)
 
     def mult_at_infinity(self) -> int:
         if self.is_zero:
             raise ZeroFormError("the zero form has no root divisor")
         return self.degree - self.affine_degree()
 
-    def to_complex(self) -> "BinaryForm":
-        return BinaryForm(self.degree, [complex(c) for c in self.coeffs])
-
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        return (self.degree == other.degree and self.exact == other.exact
-                and self.coeffs == other.coeffs)
+        return self.degree == other.degree and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.degree, self.coeffs))
 
     def __repr__(self):
-        kind = "exact" if self.exact else "complex"
-        return f"BinaryForm(deg={self.degree}, {kind})"
+        return f"BinaryForm(deg={self.degree})"
 
     # ---- arithmetic -------------------------------------------------------
-
-    def _coerce_pair(self, other):
-        if self.exact and not other.exact:
-            return self.to_complex(), other
-        if other.exact and not self.exact:
-            return self, other.to_complex()
-        return self, other
 
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         if self.degree != other.degree:
             raise ValueError("can only add forms of equal degree")
-        a, b = self._coerce_pair(other)
-        return BinaryForm(a.degree, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return BinaryForm(self.degree,
+                          [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "BinaryForm") -> "BinaryForm":
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction, float, complex)):
+        if isinstance(scalar, (int, Fraction)):
             return BinaryForm(self.degree, [scalar * c for c in self.coeffs])
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            a, b = self._coerce_pair(other)
-            out = [0] * (a.degree + b.degree + 1)
-            for i, x in enumerate(a.coeffs):
+            out = [0] * (self.degree + other.degree + 1)
+            for i, x in enumerate(self.coeffs):
                 if x:
-                    for j, y in enumerate(b.coeffs):
+                    for j, y in enumerate(other.coeffs):
                         out[i + j] += x * y
-            return BinaryForm(a.degree + b.degree, out)
+            return BinaryForm(self.degree + other.degree, out)
         return self.__rmul__(other)
 
     def __pow__(self, n: int) -> "BinaryForm":
@@ -633,7 +608,7 @@ class BinaryForm:
     def eval_pair(self, z0, z1):
         """Value at representative coordinates; exact for rational input."""
         d = self.degree
-        if self.exact and isinstance(z0, (int, Fraction)) and isinstance(z1, (int, Fraction)):
+        if isinstance(z0, (int, Fraction)) and isinstance(z1, (int, Fraction)):
             z0, z1 = Fraction(z0), Fraction(z1)
             one = Fraction(1)
         else:
@@ -691,66 +666,29 @@ def affine_transvectant(f: BinaryForm, g: BinaryForm):
     return poly_add(term1, poly_scale(term2, -1))
 
 
-def _cluster_roots(roots, cluster_tol):
-    """Group numerically coincident roots; multiplicity = cluster size."""
-    pts = [ProjectivePointP1.from_affine(r) for r in roots]
-    n = len(pts)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pts[i].chordal(pts[j]) <= cluster_tol:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in groups.values():
-        zs = [roots[i] for i in members]
-        rep = sum(zs) / len(zs)
-        out.append((ProjectivePointP1.from_affine(rep), len(members)))
-    return out
-
-
-def roots_projective(f: BinaryForm, cluster_tol: float = CLUSTER_TOL) -> DivisorP1:
+def roots_projective(f: BinaryForm) -> DivisorP1:
     """All deg(f) projective roots with multiplicities summing to deg(f).
 
-    Exact forms get their multiplicity structure from the squarefree
-    decomposition over Q; complex forms get it from clustering at
-    ``cluster_tol``.  The root at (0, 1) carries multiplicity
-    deg(f) - deg(affine part).
+    The multiplicity structure comes from the squarefree decomposition over
+    Q; floats only locate the points.  The root at (0, 1) carries
+    multiplicity deg(f) - deg(affine part).
     """
     if f.is_zero:
         raise ZeroFormError("the zero form has no root divisor")
     entries = []
-    if f.exact:
-        aff = poly_strip(f.coeffs)
-        inf_mult = f.degree - (len(aff) - 1)
-        if len(aff) > 1:
-            for factor, mult in squarefree_decomposition(aff):
-                for r in _roots_dense([complex(c) for c in factor]):
-                    entries.append((ProjectivePointP1.from_affine(r), mult))
-    else:
-        d_aff = f.affine_degree()
-        inf_mult = f.degree - d_aff
-        if d_aff > 0:
-            roots = _roots_dense(list(f.coeffs[: d_aff + 1]))
-            entries.extend(_cluster_roots(list(roots), cluster_tol))
+    aff = poly_strip(f.coeffs)
+    inf_mult = f.degree - (len(aff) - 1)
+    if len(aff) > 1:
+        for factor, mult in squarefree_decomposition(aff):
+            for r in _roots_dense([complex(c) for c in factor]):
+                entries.append((ProjectivePointP1.from_affine(r), mult))
     if inf_mult > 0:
         entries.append((ProjectivePointP1.infinity(), inf_mult))
-    return DivisorP1(tuple(entries), min_separation=cluster_tol)
+    return DivisorP1(tuple(entries))
 
 
 def form_is_squarefree(f: BinaryForm) -> bool:
     """Exact projective squarefreeness (affine part and infinity together)."""
-    if not f.exact:
-        raise ValueError("squarefreeness is decided in exact arithmetic only")
     if f.is_zero:
         raise ZeroFormError("squarefreeness of the zero form is undefined")
     if f.mult_at_infinity() > 1:
@@ -761,8 +699,6 @@ def form_is_squarefree(f: BinaryForm) -> bool:
 
 def forms_coprime(f: BinaryForm, g: BinaryForm) -> bool:
     """Exact test that f and g share no projective root."""
-    if not (f.exact and g.exact):
-        raise ValueError("coprimality is decided in exact arithmetic only")
     if f.is_zero or g.is_zero:
         raise ZeroFormError("coprimality with the zero form is undefined")
     if f.mult_at_infinity() > 0 and g.mult_at_infinity() > 0:

@@ -1,20 +1,19 @@
 """Batch command-line front end.
 
 Commands: generate, analyze, ivhs, recover, roundtrip, plumb-verify, oracle.
-Reports are JSON with deterministic content for identical command lines;
-the only non-deterministic field is the top-level "timestamp", which golden
-comparisons must ignore.  Exit codes: 0 success, 1 computation error,
-2 usage error.  TORELLI_LAB_THREADS caps --trials parallelism.
+Reports are JSON with deterministic content for identical command lines,
+except the top-level "timestamp" and the per-trial "stage_timings_ms" of
+roundtrip, which golden comparisons must ignore.  Roundtrip trials run one
+after another in seed order.  Exit codes: 0 success, 1 computation error,
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -43,14 +42,6 @@ def _parse_points(text: str):
         return [Fraction(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"could not parse --i2 points: {exc}") from exc
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TORELLI_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +138,8 @@ def cmd_roundtrip(args) -> int:
         confidence_min=args.confidence_min,
         nullspace_rel_tol=args.nullspace_rel_tol,
         match_tol=args.match_tol)
-    seeds = [args.seed + k for k in range(args.trials)]
-    workers = min(_thread_count(), len(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(
-                lambda sd: _one_roundtrip(args.h, sd, config, args.corrupt_span),
-                seeds))
-    else:
-        trials = [_one_roundtrip(args.h, sd, config, args.corrupt_span)
-                  for sd in seeds]
-    trials.sort(key=lambda t: t["seed"])
+    trials = [_one_roundtrip(args.h, args.seed + k, config, args.corrupt_span)
+              for k in range(args.trials)]
     ok = [t for t in trials if t["status"] == "ok"]
     summary = {
         "requested": args.trials,

@@ -7,8 +7,9 @@ affine chart the derivative of j1 = g4^3/g6^2 vanishes where
 that locus through infinity with the correct total degree
 10*dL - 2 = 10h + 8(1-q).
 
-The degree law and the genericity predicates here are exact; only the
-divisor's point coordinates are floating point.
+The degree law is exact, and so is the genericity report, which is decided
+in ``surfaces.genericity``; only the divisor's point coordinates are
+floating point.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 from . import binforms
 from .binforms import BinaryForm, DivisorP1, ProjectivePointP1
-from .errors import TorelliLabError
-from .surfaces import WeierstrassSurface, classify_fibers, discriminant, invariants
+from .errors import ConsistencyError, TorelliLabError
+from .surfaces import GeneralityReport, WeierstrassSurface, genericity, invariants
 
 
 class IsotrivialError(TorelliLabError):
@@ -31,38 +32,6 @@ class RamificationDivisor:
     form: BinaryForm
     divisor: DivisorP1
     total_degree: int
-
-
-@dataclass(frozen=True)
-class GeneralityReport:
-    """Outcome of the three genericity clauses.
-
-    (a) all singular fibres are nodal, (b) the ramification form is
-    squarefree, (c) the ramification divisor avoids the discriminant locus.
-    """
-
-    all_fibers_i1: bool
-    ram_reduced: bool
-    ram_avoids_discriminant: bool
-    failed_clauses: tuple
-    warnings: tuple = ()
-
-    @property
-    def is_general(self) -> bool:
-        return not self.failed_clauses
-
-    def __bool__(self) -> bool:
-        return self.is_general
-
-    def to_json_dict(self) -> dict:
-        return {
-            "is_general": self.is_general,
-            "all_fibers_i1": self.all_fibers_i1,
-            "ram_reduced": self.ram_reduced,
-            "ram_avoids_discriminant": self.ram_avoids_discriminant,
-            "failed_clauses": list(self.failed_clauses),
-            "warnings": list(self.warnings),
-        }
 
 
 def ramification_form(s: WeierstrassSurface) -> BinaryForm:
@@ -80,48 +49,19 @@ def ramification_divisor(s: WeierstrassSurface) -> RamificationDivisor:
     w = ramification_form(s)
     expected = invariants(s).N
     if w.degree != expected:
-        raise TorelliLabError(
+        raise ConsistencyError(
             f"degree bookkeeping violated: deg W = {w.degree}, "
             f"expected {expected}")
     divisor = binforms.roots_projective(w)
-    assert divisor.degree == w.degree
+    if divisor.degree != w.degree:
+        raise ConsistencyError(
+            f"root multiplicities sum to {divisor.degree}, not deg W = {w.degree}")
     return RamificationDivisor(form=w, divisor=divisor, total_degree=w.degree)
 
 
 def is_general(s: WeierstrassSurface) -> GeneralityReport:
     """Exact genericity test; the report carries every failing clause."""
-    failed = []
-    warnings = []
-    report = classify_fibers(s)
-    all_i1 = report.all_I1
-    if not all_i1:
-        failed.append("a")
-    try:
-        w = ramification_form(s)
-    except IsotrivialError:
-        return GeneralityReport(
-            all_fibers_i1=all_i1,
-            ram_reduced=False,
-            ram_avoids_discriminant=False,
-            failed_clauses=tuple(failed + ["b", "c"]),
-            warnings=("ramification form vanishes identically",),
-        )
-    reduced = binforms.form_is_squarefree(w)
-    if not reduced:
-        failed.append("b")
-    disjoint = binforms.forms_coprime(w, discriminant(s))
-    if not disjoint:
-        failed.append("c")
-        warnings.append(
-            "ramification meets the discriminant locus: multiplicities of "
-            "div(W) are only contractual on the general locus")
-    return GeneralityReport(
-        all_fibers_i1=all_i1,
-        ram_reduced=reduced,
-        ram_avoids_discriminant=disjoint,
-        failed_clauses=tuple(failed),
-        warnings=tuple(warnings),
-    )
+    return genericity(s)
 
 
 def schottky_degree_check(s: WeierstrassSurface) -> bool:

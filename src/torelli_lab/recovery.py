@@ -33,6 +33,13 @@ from .linalg import EigenConvergenceError
 from .ramification import ramification_divisor
 from .surfaces import WeierstrassSurface, invariants
 
+EXTRACTION_RETRIES = 10
+EIG_GAP_MIN = 1e-6
+CONTRACTION_COND_MAX = 1e8
+ORACLE_SIGMA_RATIO = 1e-8
+ORACLE_STARTS_PER_DIM = 120
+CURVE_SAMPLES = 100
+
 
 class DegeneratePresentationError(TorelliLabError):
     """No rank-1 frame was extracted within the retry budget."""
@@ -58,11 +65,6 @@ class RecoveryConfig:
     confidence_min: float = 0.999
     nullspace_rel_tol: float = 1e-8
     match_tol: float = 1e-6
-    eig_gap_min: float = 1e-6
-    contraction_cond_max: float = 1e8
-    retries: int = 10
-    oracle_sigma_ratio: float = 1e-8
-    oracle_starts_per_dim: int = 120
 
 
 DEFAULT_CONFIG = RecoveryConfig()
@@ -83,12 +85,17 @@ class RankOneFactor:
 
 
 def chordal_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Sine of the principal angle between two complex lines."""
+    """Sine of the principal angle between two complex lines.
+
+    Computed as the norm of the component of unit y orthogonal to unit x,
+    which keeps full relative accuracy for nearby lines, where
+    sqrt(1 - |<x, y>|^2) cannot resolve angles below about 1.5e-8.
+    """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     x = x / np.linalg.norm(x)
     y = y / np.linalg.norm(y)
-    return float(np.sqrt(max(0.0, 1.0 - abs(np.vdot(x, y)) ** 2)))
+    return float(np.linalg.norm(y - np.vdot(x, y) * x))
 
 
 def _factor_sort_key(f: RankOneFactor):
@@ -106,13 +113,13 @@ def extract_rank_ones(presentation: IVHSPresentation, seed: int,
         raise UsageError("extraction needs N >= 2")
     rng = np.random.default_rng(seed)
     reasons = []
-    for _ in range(config.retries):
+    for _ in range(EXTRACTION_RETRIES):
         u1 = rng.standard_normal(h) + 1j * rng.standard_normal(h)
         u2 = rng.standard_normal(h) + 1j * rng.standard_normal(h)
         p1 = np.einsum("d,jda->aj", u1, basis)
         p2 = np.einsum("d,jda->aj", u2, basis)
         sv = np.linalg.svd(p2, compute_uv=False)
-        if sv[-1] == 0.0 or sv[0] / sv[-1] > config.contraction_cond_max:
+        if sv[-1] == 0.0 or sv[0] / sv[-1] > CONTRACTION_COND_MAX:
             reasons.append("ill-conditioned contraction")
             continue
         pencil = np.linalg.solve(p2.T, p1.T).T
@@ -127,7 +134,7 @@ def extract_rank_ones(presentation: IVHSPresentation, seed: int,
         scale = max(1.0, float(np.max(np.abs(eig.values))))
         gaps = np.abs(eig.values[:, None] - eig.values[None, :])
         np.fill_diagonal(gaps, np.inf)
-        if float(np.min(gaps)) < config.eig_gap_min * scale:
+        if float(np.min(gaps)) < EIG_GAP_MIN * scale:
             reasons.append("eigenvalue collision")
             continue
         y_frame = eig.vectors
@@ -153,29 +160,26 @@ def extract_rank_ones(presentation: IVHSPresentation, seed: int,
         reasons.append("slice not rank 1")
     raise DegeneratePresentationError(
         "degenerate presentation: no rank-1 frame found in "
-        f"{config.retries} attempts ({'; '.join(sorted(set(reasons)))})")
+        f"{EXTRACTION_RETRIES} attempts ({'; '.join(sorted(set(reasons)))})")
 
 
-def rank_one_oracle_bruteforce(presentation: IVHSPresentation, seed: int = 0,
-                               n_starts=None,
-                               config: RecoveryConfig = DEFAULT_CONFIG):
+def rank_one_oracle_bruteforce(presentation: IVHSPresentation, seed: int = 0):
     """Independent search for every rank-1 element of the subspace.
 
     Multi-start alternating projection between the subspace and the rank-1
-    variety, accepting local minimizers of sigma_2/sigma_1 below 1e-8 and
-    deduplicating projectively.  Cost-gated to N <= 6, h <= 3.
+    variety (ORACLE_STARTS_PER_DIM starts per dimension), accepting local
+    minimizers of sigma_2/sigma_1 below ORACLE_SIGMA_RATIO and deduplicating
+    projectively.  Cost-gated to N <= 6, h <= 3.
     """
     n, h = presentation.N, presentation.h
     if n > 6 or h > 3:
         raise UsageError("brute-force oracle is gated to N <= 6 and h <= 3")
-    if n_starts is None:
-        n_starts = config.oracle_starts_per_dim * n
     flat = presentation.flattened()
     _, _, vh = np.linalg.svd(flat, full_matrices=False)
     ortho = vh[:n]                      # orthonormal rows spanning the subspace
     rng = np.random.default_rng(seed)
     found = []
-    for _ in range(n_starts):
+    for _ in range(ORACLE_STARTS_PER_DIM * n):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c /= np.linalg.norm(c)
         prev = None
@@ -193,7 +197,7 @@ def rank_one_oracle_bruteforce(presentation: IVHSPresentation, seed: int = 0,
             prev = c
         m = (c @ ortho).reshape(h, n)
         u, s, vvh = np.linalg.svd(m, full_matrices=False)
-        if s[0] <= 1e-13 or s[1] / s[0] >= config.oracle_sigma_ratio:
+        if s[0] <= 1e-13 or s[1] / s[0] >= ORACLE_SIGMA_RATIO:
             continue
         x = normalize_phase(u[:, 0])
         y = normalize_phase(vvh[0].conj())
@@ -312,12 +316,16 @@ class RoundTripReport:
 
 def match_points(recovered: np.ndarray, truth: np.ndarray) -> MatchReport:
     """Optimal bipartite matching of projective point sets in chordal
-    distance (greedy warm starts are subsumed by the exact assignment)."""
+    distance (greedy warm starts are subsumed by the exact assignment).
+
+    dist[i, j] is the stable form of ``chordal_distance``, broadcast over
+    all pairs."""
     n = recovered.shape[0]
     rec = recovered / np.linalg.norm(recovered, axis=1, keepdims=True)
     tru = truth / np.linalg.norm(truth, axis=1, keepdims=True)
-    overlap = np.abs(rec.conj() @ tru.T)
-    dist = np.sqrt(np.clip(1.0 - overlap ** 2, 0.0, None))
+    inner = rec.conj() @ tru.T
+    dist = np.linalg.norm(tru[None, :, :] - inner[:, :, None] * rec[:, None, :],
+                          axis=2)
     rows, cols = linear_sum_assignment(dist)
     order = np.empty(n, dtype=int)
     order[rows] = cols
@@ -342,8 +350,7 @@ def _curve_samples(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 def roundtrip(s: WeierstrassSurface, seed: int,
               config: RecoveryConfig = DEFAULT_CONFIG,
-              frame_seed=None, corrupt_span: bool = False,
-              curve_sample_count: int = 100) -> RoundTripReport:
+              corrupt_span: bool = False) -> RoundTripReport:
     """Forward synthesis, extraction, interpolation, and ground-truth match.
 
     Any stage failure is re-raised as :class:`StageError` tagged with the
@@ -363,7 +370,7 @@ def roundtrip(s: WeierstrassSurface, seed: int,
         return out
 
     presentation, truth = run(
-        "synthesize", lambda: synthesize(s, seed, frame_seed=frame_seed))
+        "synthesize", lambda: synthesize(s, seed))
     if corrupt_span:
         rng = np.random.default_rng(seed + 10**6)
         noise = rng.standard_normal((inv.h, inv.N)) \
@@ -384,7 +391,7 @@ def roundtrip(s: WeierstrassSurface, seed: int,
             f"(max chordal {match.max_chordal:.3e} > {config.match_tol})")
 
     rng = np.random.default_rng(seed + 2 * 10**6)
-    samples = _curve_samples(inv.h, curve_sample_count, rng)
+    samples = _curve_samples(inv.h, CURVE_SAMPLES, rng)
     residual = 0.0
     for v in samples:
         for q in geometry.quadric_basis:

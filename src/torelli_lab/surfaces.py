@@ -3,16 +3,17 @@
 A surface is a pair of exact binary forms (g4, g6) of degrees 4*dL and 6*dL,
 the coefficients of the fibration y^2 = 4x^3 - g4 x - g6.  The module derives
 the numerical invariants from (h, q), classifies singular fibres through the
-discriminant g4^3 - 27 g6^2, and provides two constructors: rejection-sampled
-general surfaces (all fibres nodal), and surfaces with up to four prescribed
-I2 fibres obtained by forcing the local jet equations
+discriminant g4^3 - 27 g6^2, decides genericity, and provides two
+constructors: rejection-sampled general surfaces (all fibres nodal), and
+surfaces with up to four prescribed I2 fibres obtained by forcing the local
+jet equations
 
     a0^3 - 27 b0^2 = 0   and   2 a0 b1 - 3 a1 b0 = 0
 
 at each prescribed point via a0 = 3 s^2, b0 = s^3, b1 = a1 s / 2.
 
-Genericity predicates are decided in rational arithmetic; floats appear only
-in reported fibre coordinates.
+Genericity is decided in rational arithmetic without root finding; floats
+appear only in reported fibre coordinates.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import binforms
 from .binforms import (
     BinaryForm,
     ProjectivePointP1,
+    form_is_squarefree,
     forms_coprime,
     gcd_is_constant,
     poly_degree,
@@ -35,7 +37,7 @@ from .binforms import (
     squarefree_decomposition,
     transvectant_first,
 )
-from .errors import TorelliLabError, UsageError
+from .errors import ConsistencyError, TorelliLabError, UsageError
 
 COEFF_BOUND = 20
 REJECTION_BUDGET = 1000
@@ -123,8 +125,6 @@ class WeierstrassSurface:
                 "symbolically but construction requires q = 0")
         if dL < 1:
             raise UsageError("dL must be a positive integer")
-        if not (g4.exact and g6.exact):
-            raise UsageError("Weierstrass data must be exact rational forms")
         if g4.degree != 4 * dL or g6.degree != 6 * dL:
             raise UsageError(
                 f"expected degrees ({4 * dL}, {6 * dL}), "
@@ -242,7 +242,9 @@ def classify_fibers(s: WeierstrassSurface) -> FiberReport:
             g4_vanishes=g4_inf_zero,
             kodaira="additive_other" if g4_inf_zero else f"I{v_inf}",
         ))
-    assert exact_total == delta.degree, "fibre valuations must sum to deg Delta"
+    if exact_total != delta.degree:
+        raise ConsistencyError(
+            f"fibre valuations sum to {exact_total}, not deg Delta = {delta.degree}")
     records.sort(key=lambda rec: rec.point._sort_key())
     all_i1 = all(rec.kodaira == "I1" for rec in records)
     i2 = sum(1 for rec in records if rec.kodaira == "I2")
@@ -250,39 +252,95 @@ def classify_fibers(s: WeierstrassSurface) -> FiberReport:
 
 
 # ---------------------------------------------------------------------------
+# genericity
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GeneralityReport:
+    """Outcome of the three genericity clauses.
+
+    (a) all singular fibres are nodal, (b) the ramification form is
+    squarefree, (c) the ramification divisor avoids the discriminant locus.
+    """
+
+    all_fibers_i1: bool
+    ram_reduced: bool
+    ram_avoids_discriminant: bool
+    failed_clauses: tuple
+    warnings: tuple = ()
+
+    @property
+    def is_general(self) -> bool:
+        return not self.failed_clauses
+
+    def __bool__(self) -> bool:
+        return self.is_general
+
+    def to_json_dict(self) -> dict:
+        return {
+            "is_general": self.is_general,
+            "all_fibers_i1": self.all_fibers_i1,
+            "ram_reduced": self.ram_reduced,
+            "ram_avoids_discriminant": self.ram_avoids_discriminant,
+            "failed_clauses": list(self.failed_clauses),
+            "warnings": list(self.warnings),
+        }
+
+
+def genericity(s: WeierstrassSurface) -> GeneralityReport:
+    """The three genericity clauses, decided exactly without root finding.
+
+    Clause (a) is decided as "Delta is squarefree".  A fibre is I1 exactly
+    at a simple zero of Delta where g4 does not vanish, and at a zero p of
+    Delta with g4(p) = 0 also g6(p) = 0, so ord_p Delta >= 2; the point at
+    infinity behaves the same.  Raises ``DegenerateSurfaceError`` when Delta
+    vanishes identically.
+    """
+    delta = discriminant(s)
+    all_i1 = form_is_squarefree(delta)
+    failed = [] if all_i1 else ["a"]
+    w = transvectant_first(s.g4, s.g6)
+    if w.is_zero:
+        return GeneralityReport(
+            all_fibers_i1=all_i1,
+            ram_reduced=False,
+            ram_avoids_discriminant=False,
+            failed_clauses=tuple(failed + ["b", "c"]),
+            warnings=("ramification form vanishes identically",),
+        )
+    reduced = form_is_squarefree(w)
+    if not reduced:
+        failed.append("b")
+    disjoint = forms_coprime(w, delta)
+    warnings = ()
+    if not disjoint:
+        failed.append("c")
+        warnings = (
+            "ramification meets the discriminant locus: multiplicities of "
+            "div(W) are only contractual on the general locus",)
+    return GeneralityReport(
+        all_fibers_i1=all_i1,
+        ram_reduced=reduced,
+        ram_avoids_discriminant=disjoint,
+        failed_clauses=tuple(failed),
+        warnings=warnings,
+    )
+
+
+# ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
 
-def _draw_form(rng: random.Random, degree: int, bound: int = COEFF_BOUND) -> BinaryForm:
-    """Integer coefficients in [-bound, bound], nonzero at the top degree."""
-    coeffs = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+def _draw_form(rng: random.Random, degree: int) -> BinaryForm:
+    """Integer coefficients in [-COEFF_BOUND, COEFF_BOUND], nonzero at the
+    top degree."""
+    coeffs = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(degree + 1)]
     while coeffs[-1] == 0:
-        coeffs[-1] = rng.randint(-bound, bound)
+        coeffs[-1] = rng.randint(-COEFF_BOUND, COEFF_BOUND)
     return BinaryForm(degree, coeffs)
 
 
-def _is_general_exact(s: WeierstrassSurface) -> bool:
-    """The three genericity clauses, cheapest first, all exact."""
-    try:
-        delta = discriminant(s)
-    except DegenerateSurfaceError:
-        return False
-    if not binforms.form_is_squarefree(delta):
-        return False
-    if not forms_coprime(delta, s.g4):
-        return False
-    ram = transvectant_first(s.g4, s.g6)
-    if ram.is_zero:
-        return False
-    if not binforms.form_is_squarefree(ram):
-        return False
-    if not forms_coprime(ram, delta):
-        return False
-    return True
-
-
-def make_random_general(h: int, seed: int, budget: int = REJECTION_BUDGET,
-                        coeff_bound: int = COEFF_BOUND) -> WeierstrassSurface:
+def make_random_general(h: int, seed: int) -> WeierstrassSurface:
     """Random surface with all fibres of type I1 and a reduced ramification
     divisor disjoint from the discriminant locus; deterministic in ``seed``."""
     q = 0
@@ -290,14 +348,18 @@ def make_random_general(h: int, seed: int, budget: int = REJECTION_BUDGET,
         raise SurfaceGateError(f"gate h >= q+3 fails: h = {h}, q = {q}")
     dL = h + 1 - q
     rng = random.Random(seed)
-    for _ in range(budget):
-        g4 = _draw_form(rng, 4 * dL, coeff_bound)
-        g6 = _draw_form(rng, 6 * dL, coeff_bound)
+    for _ in range(REJECTION_BUDGET):
+        g4 = _draw_form(rng, 4 * dL)
+        g6 = _draw_form(rng, 6 * dL)
         s = WeierstrassSurface(dL, g4, g6, q)
-        if _is_general_exact(s):
+        try:
+            general = genericity(s).is_general
+        except DegenerateSurfaceError:
+            continue
+        if general:
             return s
     raise RejectionBudgetError(
-        f"no general surface with h = {h} found in {budget} draws")
+        f"no general surface with h = {h} found in {REJECTION_BUDGET} draws")
 
 
 def _solve_exact(rows, rhs):
@@ -334,8 +396,7 @@ def _hermite_interpolant(points, values, derivs):
     return poly_strip(_solve_exact(rows, rhs))
 
 
-def make_with_I2(h: int, points, seed: int,
-                 budget: int = REJECTION_BUDGET) -> WeierstrassSurface:
+def make_with_I2(h: int, points, seed: int) -> WeierstrassSurface:
     """Surface with prescribed I2 fibres at up to four affine points.
 
     At each point the two-jet of (g4, g6) is forced to (3s^2 + a1 z,
@@ -354,16 +415,13 @@ def make_with_I2(h: int, points, seed: int,
     if len(set(pts)) != r:
         raise UsageError("prescribed points must be distinct")
     dL = h + 1 - q
-    if 4 * dL - 2 * r < 1:
-        raise AssertionError("interpolation degrees of freedom exhausted")
-
     rng = random.Random(seed)
     # (z - p)^2 factors collected into the double-root modulus
     modulus = [Fraction(1)]
     for p in pts:
         modulus = poly_mul(modulus, [p * p, -2 * p, Fraction(1)])
 
-    for _ in range(budget):
+    for _ in range(REJECTION_BUDGET):
         svals = []
         for _ in range(r):
             num = 0
@@ -394,21 +452,19 @@ def make_with_I2(h: int, points, seed: int,
         d1 = binforms.poly_derivative(delta_aff)
         d2 = binforms.poly_derivative(d1)
         ram = transvectant_first(g4, g6)
-        ok = True
-        for p in pts:
-            assert poly_eval(delta_aff, p) == 0
-            assert poly_eval(d1, p) == 0
-            assert ram.eval_pair(Fraction(1), p) == 0
-            if poly_eval(d2, p) == 0:
-                ok = False
-                break
-        if not ok:
+        if any(poly_eval(delta_aff, p) or poly_eval(d1, p)
+               or ram.eval_pair(Fraction(1), p) for p in pts):
+            raise ConsistencyError(
+                "forced two-jets do not give a double zero of Delta inside "
+                "the zeros of W at every prescribed point")
+        if any(poly_eval(d2, p) == 0 for p in pts):
             continue
         if not gcd_is_constant(g4_aff, g6_aff):
             continue
         return s
     raise RejectionBudgetError(
-        f"no surface with {r} prescribed I2 fibres found in {budget} draws")
+        f"no surface with {r} prescribed I2 fibres found in "
+        f"{REJECTION_BUDGET} draws")
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,17 @@ def test_exact_evaluation_is_exact():
     assert val == Fraction(1, 3) - 2 * Fraction(1, 4) + Fraction(1, 8)
 
 
+@pytest.mark.parametrize("bad", [0.5, 2j])
+def test_float_and_complex_coefficients_are_rejected(bad):
+    with pytest.raises(TypeError):
+        BinaryForm(2, [1, bad, 0])
+    f = BinaryForm(2, [1, 0, 1])
+    with pytest.raises(TypeError):
+        bad * f
+    with pytest.raises(TypeError):
+        f * bad
+
+
 # ---------------------------------------------------------------------------
 # projective roots
 # ---------------------------------------------------------------------------
@@ -98,14 +109,6 @@ def test_multiplicities_from_exact_decomposition():
     assert div.multiplicity_at(ProjectivePointP1.from_affine(-2)) == 1
 
 
-def test_float_forms_cluster_multiplicities():
-    # complex representation of (z - 1)^2 (z + 2)
-    f = BinaryForm(3, [2.0, -3.0, 0.0, 1.0])
-    div = roots_projective(f)
-    assert div.degree == 3
-    assert div.multiplicity_at(ProjectivePointP1.from_affine(1)) == 2
-
-
 def test_backward_error_bound():
     rng = random.Random(17)
     for _ in range(20):
@@ -117,7 +120,7 @@ def test_backward_error_bound():
             if mult != 1 or p.is_infinity:
                 continue
             r = p.affine()
-            val = abs(f.to_complex().eval_affine(r))
+            val = abs(f.eval_affine(r))
             assert val <= 1e-9 * scale * max(1.0, abs(r)) ** f.degree
 
 

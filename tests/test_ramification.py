@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from torelli_lab.binforms import BinaryForm, ProjectivePointP1, poly_mul, poly_strip
+from torelli_lab import binforms
+from torelli_lab.binforms import (
+    BinaryForm,
+    DivisorP1,
+    ProjectivePointP1,
+    poly_mul,
+    poly_strip,
+)
+from torelli_lab.errors import ConsistencyError
 from torelli_lab.ramification import (
     IsotrivialError,
     divisor_from_json_dict,
@@ -18,6 +26,7 @@ from torelli_lab.ramification import (
 from torelli_lab.surfaces import (
     Invariants,
     WeierstrassSurface,
+    classify_fibers,
     make_random_general,
     make_with_I2,
 )
@@ -80,6 +89,43 @@ def test_is_general_fails_on_i2_fiber():
     assert "a" in report.failed_clauses
 
 
+def _small_surfaces():
+    """Small-coefficient surfaces with dL = 4 covering every way clause (a)
+    can hold or fail: full-degree pairs, a root shared by g4 and g6, a
+    fibre at infinity (I_n or additive), and prescribed I2 fibres."""
+    rng = random.Random(12)
+
+    def poly(degree, top=None):
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(degree)]
+        return coeffs + [Fraction(top if top is not None
+                                  else rng.choice((-2, -1, 1, 2)))]
+
+    out = []
+    for _ in range(8):
+        out.append(surface_from_affine(4, poly(16), poly(24)))
+        a = Fraction(rng.randint(-2, 2))
+        shared = [-a, Fraction(1)]
+        out.append(surface_from_affine(
+            4, poly_mul(shared, poly(15)), poly_mul(shared, poly(23))))
+        # 3^3 = 27 * 1^2 cancels the top coefficient of Delta
+        out.append(surface_from_affine(4, poly(16, top=3), poly(24, top=1)))
+        out.append(surface_from_affine(
+            4, poly(rng.randint(0, 5)), poly(rng.randint(0, 7))))
+    for r in (1, 2, 3):
+        for seed in range(2):
+            out.append(make_with_I2(3, [0, 1, -1][:r], seed))
+    return out
+
+
+def test_clause_a_agrees_with_the_fibre_table():
+    verdicts = []
+    for s in _small_surfaces():
+        expected = classify_fibers(s).all_I1
+        assert is_general(s).all_fibers_i1 == expected
+        verdicts.append(expected)
+    assert set(verdicts) == {True, False}
+
+
 def test_unramified_at_j_zero():
     """A simple zero of g4 away from g6's zeros is not a ramification point."""
     rng = random.Random(4)
@@ -105,6 +151,14 @@ def test_i2_points_lie_in_ramification_divisor():
     for p in points:
         assert ram.divisor.multiplicity_at(
             ProjectivePointP1.from_affine(complex(p))) >= 1
+
+
+def test_divisor_degree_mismatch_is_a_typed_error(monkeypatch):
+    s = make_random_general(3, seed=0)
+    monkeypatch.setattr(binforms, "roots_projective",
+                        lambda w: DivisorP1(((ProjectivePointP1.infinity(), 1),)))
+    with pytest.raises(ConsistencyError):
+        ramification_divisor(s)
 
 
 def test_schottky_degree_check():

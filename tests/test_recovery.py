@@ -84,6 +84,22 @@ def test_extraction_needs_at_least_two_factors():
         extract_rank_ones(pres, seed=0)
 
 
+def test_chordal_metrics_resolve_a_tiny_perturbation():
+    rng = np.random.default_rng(3)
+    n, h, angle = 6, 4, 1e-12
+    x = rng.standard_normal((n, h)) + 1j * rng.standard_normal((n, h))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    v = rng.standard_normal((n, h)) + 1j * rng.standard_normal((n, h))
+    v -= np.sum(x.conj() * v, axis=1, keepdims=True) * x
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    y = np.cos(angle) * x + np.sin(angle) * v
+    for k in range(n):
+        assert angle / 2 <= chordal_distance(x[k], y[k]) <= 2 * angle
+    report = match_points(y, x)
+    assert report.permutation == tuple(range(n))
+    assert angle / 2 <= report.mean_chordal <= report.max_chordal <= 2 * angle
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------

@@ -1,0 +1,33 @@
+"""Rules on the package source, checked on its syntax trees.
+
+No ``assert`` statements: they vanish under ``python -O``, so a check that
+matters raises a ``TorelliLabError`` subclass.  No environment reads: every
+setting arrives through a function argument or a command-line flag.
+"""
+
+import ast
+from pathlib import Path
+
+import torelli_lab
+
+SOURCES = sorted(Path(torelli_lab.__file__).parent.glob("*.py"))
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _violations(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield f"{path.name}:{node.lineno}: assert statement"
+        elif (isinstance(node, ast.Attribute) and node.attr in ENV_NAMES
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            yield f"{path.name}:{node.lineno}: os.{node.attr}"
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name in ENV_NAMES for alias in node.names)):
+            yield f"{path.name}:{node.lineno}: environment import from os"
+
+
+def test_no_asserts_and_no_environment_reads():
+    assert len(SOURCES) > 1
+    found = [v for path in SOURCES for v in _violations(path)]
+    assert found == []

@@ -1,9 +1,12 @@
 """Weierstrass surfaces: invariants, fibre classification, constructors."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from torelli_lab import surfaces
 from torelli_lab.binforms import (
     BinaryForm,
     ProjectivePointP1,
@@ -12,7 +15,7 @@ from torelli_lab.binforms import (
     poly_strip,
     transvectant_first,
 )
-from torelli_lab.errors import UsageError
+from torelli_lab.errors import ConsistencyError, UsageError
 from torelli_lab.surfaces import (
     DegenerateSurfaceError,
     Invariants,
@@ -129,6 +132,13 @@ def test_isotrivial_discriminant_rejected():
         discriminant(s)
 
 
+def test_fiber_valuation_mismatch_is_a_typed_error(monkeypatch):
+    s = make_random_general(3, seed=0)
+    monkeypatch.setattr(surfaces, "squarefree_decomposition", lambda aff: [])
+    with pytest.raises(ConsistencyError):
+        classify_fibers(s)
+
+
 def test_fiber_valuations_sum_to_12dL():
     for seed in range(5):
         s = make_random_general(3, seed=seed)
@@ -189,6 +199,34 @@ def test_make_with_i2_has_exact_valuation_two():
     w = transvectant_first(s.g4, s.g6)
     assert w.eval_pair(Fraction(1), Fraction(0)) == 0
     assert classify_fibers(s).I2_count >= 1
+
+
+def test_make_with_i2_failed_jets_are_a_typed_error(monkeypatch):
+    monkeypatch.setattr(surfaces, "_hermite_interpolant",
+                        lambda points, values, derivs: [Fraction(1)])
+    with pytest.raises(ConsistencyError):
+        make_with_I2(3, [Fraction(0)], seed=0)
+
+
+def _digest(surfs):
+    digest = hashlib.sha256()
+    for s in surfs:
+        digest.update(json.dumps(surface_to_json_dict(s), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_sampler_golden_digest():
+    """The rejection sampler's exact decisions are pinned: a change in which
+    draw is accepted moves the digest."""
+    assert _digest(make_random_general(h, s) for h in (3, 4, 5, 6)
+                   for s in range(5)) == \
+        "a627bb189061c7e1249c3c3d9782546c3fa4d9f6cb38e0d7f9433a0622036740"
+
+
+def test_i2_constructor_golden_digest():
+    assert _digest(make_with_I2(3, [0, 1, -1, 2][:r], s) for r in range(1, 5)
+                   for s in range(5)) == \
+        "82c9d0c5d7fa04773372c146b7343c8799fa6ddcc12520875357959b25e6a5ed"
 
 
 def test_make_with_i2_rejects_bad_points():
