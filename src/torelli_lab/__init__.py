@@ -12,7 +12,6 @@ from .binforms import (
     DivisorP1,
     ProjectivePointP1,
     roots_projective,
-    squarefree_and_coprime,
     transvectant_first,
 )
 from .errors import TorelliLabError, UsageError
@@ -23,7 +22,7 @@ from .ivhs import (
     canonical_point,
     synthesize,
 )
-from .jets import ExactRational, JetSeries
+from .jets import JetSeries
 from .plumbing import (
     JetCoefficients,
     check_closed_forms,
@@ -62,7 +61,6 @@ __all__ = [
     "BinaryForm",
     "DivisorP1",
     "EmbeddedPoint",
-    "ExactRational",
     "GroundTruth",
     "IVHSPresentation",
     "Invariants",
@@ -94,7 +92,6 @@ __all__ = [
     "roots_projective",
     "roundtrip",
     "schottky_degree_check",
-    "squarefree_and_coprime",
     "synthesize",
     "transvectant_first",
 ]

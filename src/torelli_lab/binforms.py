@@ -254,17 +254,19 @@ def squarefree_decomposition(a):
     """Yun decomposition: list of (primitive factor, multiplicity).
 
     The factors are squarefree, pairwise coprime, and their m-th powers
-    multiply to the input up to a rational constant.
+    multiply to the input up to a rational constant.  A squarefree input is
+    recognised by ``poly_is_squarefree`` (modular fast path first), so the
+    PRS gcd runs only on inputs with a repeated factor.
     """
     a = poly_strip(a)
     if not a:
         raise ZeroFormError("squarefree decomposition of the zero polynomial")
     if len(a) == 1:
         return []
+    if poly_is_squarefree(a):
+        return [([Fraction(c) for c in _to_int_primitive(a)], 1)]
     da = poly_derivative(a)
     g = poly_gcd(a, da)
-    if poly_degree(g) == 0:
-        return [([Fraction(c) for c in _to_int_primitive(a)], 1)]
     w = poly_divexact(a, g)
     y = poly_divexact(da, g)
     out = []
@@ -704,8 +706,3 @@ def forms_coprime(f: BinaryForm, g: BinaryForm) -> bool:
     if f.mult_at_infinity() > 0 and g.mult_at_infinity() > 0:
         return False
     return gcd_is_constant(poly_strip(f.coeffs), poly_strip(g.coeffs))
-
-
-def squarefree_and_coprime(f: BinaryForm, g: BinaryForm):
-    """(gcd(f, f') constant, gcd(f, g) constant), decided exactly."""
-    return form_is_squarefree(f), forms_coprime(f, g)

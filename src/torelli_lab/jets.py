@@ -14,9 +14,6 @@ from fractions import Fraction
 
 from .errors import TorelliLabError
 
-# Arbitrary-precision rational in lowest terms with positive denominator.
-ExactRational = Fraction
-
 DEFAULT_LOW_CUT = -8
 DEFAULT_HIGH_CUT = 12
 
@@ -266,17 +263,3 @@ class JetSeries:
                 p0, p1 = acc.get(k, (Fraction(0), Fraction(0)))
                 acc[k] = (p0, p1 - c1 / (c * c))
         return self._build(acc, self.low_cut, self.high_cut, strict_low=False)
-
-
-# Module-level aliases matching the operation contract.
-
-def series_mul(a: JetSeries, b: JetSeries, strict_low: bool = False) -> JetSeries:
-    return a.mul(b, strict_low=strict_low)
-
-
-def sqrt_one_minus(u: JetSeries) -> JetSeries:
-    return u.sqrt_one_minus()
-
-
-def coefficient(s: JetSeries, exponent: int, t_order: int) -> Fraction:
-    return s.coefficient(exponent, t_order)

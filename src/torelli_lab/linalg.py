@@ -1,7 +1,7 @@
 """Dense complex linear algebra used by the recovery pipeline.
 
 Thin contract-bearing wrappers over LAPACK via numpy: the guarantees are
-accuracy bounds (orthonormality, reconstruction, residuals), not specific
+accuracy bounds (nullspace and eigenpair residuals), not specific
 algorithms.  Matrices are plain 2-D complex ndarrays; construction-time
 validation rejects non-finite entries.
 """
@@ -31,13 +31,6 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
-
-
-def svd(a):
-    """Full SVD as (U, singular_values, V) with A = U @ diag(s) @ V*."""
-    m = as_cmatrix(a)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    return u, s, vh.conj().T
 
 
 def nullspace(a, rel_tol: float) -> np.ndarray:
@@ -90,19 +83,3 @@ def eig_general(a) -> EigResult:
     sv = np.linalg.svd(vectors, compute_uv=False)
     defective = bool(sv[-1] <= 1e-12 * max(sv[0], 1.0))
     return EigResult(values, vectors, residuals, defective)
-
-
-def lstsq(a, b) -> np.ndarray:
-    """Minimum-norm least squares via SVD with cutoff 1e-12 * sigma_max."""
-    m = as_cmatrix(a)
-    rhs = np.asarray(b, dtype=complex)
-    if rhs.ndim == 1:
-        rhs = rhs[:, None]
-        squeeze = True
-    else:
-        rhs = as_cmatrix(rhs, "right-hand side")
-        squeeze = False
-    if m.shape[0] != rhs.shape[0]:
-        raise ValueError("row counts of the system and right-hand side differ")
-    x, *_ = np.linalg.lstsq(m, rhs, rcond=1e-12)
-    return x[:, 0] if squeeze else x

@@ -22,7 +22,6 @@ eta series across proportional jet data.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,19 +150,29 @@ class ClosedFormCheck:
         return self.ok
 
 
-def check_closed_forms(b: JetCoefficients) -> ClosedFormCheck:
-    """Exact coefficientwise equality of the chain and the closed forms."""
-    omega, eta = residue_pair(b)
+def _first_mismatch(lhs: JetSeries, rhs: JetSeries):
+    """Lowest exponent whose t^0 coefficients differ, or None."""
+    exps = sorted({e for e, _, _ in lhs.terms()} |
+                  {e for e, _, _ in rhs.terms()})
+    return next((e for e in exps
+                 if lhs.coefficient(e, 0) != rhs.coefficient(e, 0)), None)
+
+
+def _compare_closed_forms(b: JetCoefficients, omega: JetSeries,
+                          eta: JetSeries) -> ClosedFormCheck:
+    """Compare the chain's (omega, eta) for ``b`` with the closed forms."""
     omega_cf, eta_cf = closed_form_pair(b)
     for name, lhs, rhs in (("omega", omega, omega_cf), ("eta", eta, eta_cf)):
-        exps = sorted({e for e, _, _ in lhs.terms()} |
-                      {e for e, _, _ in rhs.terms()})
-        for e in exps:
-            a = lhs.coefficient(e, 0)
-            c = rhs.coefficient(e, 0)
-            if a != c:
-                return ClosedFormCheck(ok=False, first_mismatch=(name, e, a, c))
+        e = _first_mismatch(lhs, rhs)
+        if e is not None:
+            return ClosedFormCheck(ok=False, first_mismatch=(
+                name, e, lhs.coefficient(e, 0), rhs.coefficient(e, 0)))
     return ClosedFormCheck(ok=True)
+
+
+def check_closed_forms(b: JetCoefficients) -> ClosedFormCheck:
+    """Exact coefficientwise equality of the chain and the closed forms."""
+    return _compare_closed_forms(b, *residue_pair(b))
 
 
 def leading_coefficient(b: JetCoefficients) -> Fraction:
@@ -206,11 +215,8 @@ def check_eta_proportionality(b_list) -> ProportionalityCheck:
         for j in range(i + 1, len(b_list)):
             lhs = etas[j].scale(ratios[i])
             rhs = etas[i].scale(ratios[j])
-            if lhs != rhs:
-                exps = sorted({e for e, _, _ in lhs.terms()} |
-                              {e for e, _, _ in rhs.terms()})
-                bad = next(e for e in exps
-                           if lhs.coefficient(e, 0) != rhs.coefficient(e, 0))
+            bad = _first_mismatch(lhs, rhs)
+            if bad is not None:
                 return ProportionalityCheck(ok=False, ratios=ratios,
                                             first_mismatch=(i, j, bad))
     return ProportionalityCheck(ok=True, ratios=ratios)
@@ -252,13 +258,14 @@ def verification_report(trials: int = 200, max_order: int = MAX_ORDER_DEFAULT,
 
     for k in range(trials):
         b = random_jet_coefficients(rng, max_order)
-        chk = check_closed_forms(b)
+        om_a, eta_a = residue_pair(b)
+        chk = _compare_closed_forms(b, om_a, eta_a)
         record("closed_forms", chk.ok,
                None if chk.ok else [str(x) for x in chk.first_mismatch])
-        lead = leading_coefficient(b)
+        lead = eta_a.coefficient(-2, 0)
         record("leading_term", lead == Fraction(-1, 4) * b[(0, 0)],
                f"got {lead}")
-        res = residue_coefficient(b)
+        res = eta_a.coefficient(-1, 0)
         expected = (b[(0, 1)] - b[(1, 0)]) / 4
         record("residue_term", res == expected, f"got {res}")
         if k < 10:
@@ -273,7 +280,6 @@ def verification_report(trials: int = 200, max_order: int = MAX_ORDER_DEFAULT,
         beta = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         combo = b.scale(alpha) + b2.scale(beta)
         om_c, eta_c = residue_pair(combo)
-        om_a, eta_a = residue_pair(b)
         om_b, eta_b = residue_pair(b2)
         lin_ok = (om_c == om_a.scale(alpha) + om_b.scale(beta)
                   and eta_c == eta_a.scale(alpha) + eta_b.scale(beta))
@@ -313,9 +319,3 @@ def jets_from_json_dict(data: dict) -> JetCoefficients:
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"malformed jet data: {exc}") from exc
     return JetCoefficients(entries, max_order)
-
-
-def save_jets(b: JetCoefficients, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jets_to_json_dict(b), fh, indent=2)
-        fh.write("\n")

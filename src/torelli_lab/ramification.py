@@ -8,23 +8,26 @@ that locus through infinity with the correct total degree
 10*dL - 2 = 10h + 8(1-q).
 
 The degree law is exact, and so is the genericity report, which is decided
-in ``surfaces.genericity``; only the divisor's point coordinates are
+in ``surfaces.genericity``; the form W itself is kept on the surface by
+``surfaces.ramification_form``.  Only the divisor's point coordinates are
 floating point.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import binforms
 from .binforms import BinaryForm, DivisorP1, ProjectivePointP1
-from .errors import ConsistencyError, TorelliLabError
-from .surfaces import GeneralityReport, WeierstrassSurface, genericity, invariants
-
-
-class IsotrivialError(TorelliLabError):
-    """The transvectant vanishes identically (g4^3/g6^2 constant)."""
+from .errors import ConsistencyError
+from .surfaces import (
+    GeneralityReport,
+    IsotrivialError,
+    WeierstrassSurface,
+    genericity,
+    invariants,
+    ramification_form,
+)
 
 
 @dataclass(frozen=True)
@@ -32,16 +35,6 @@ class RamificationDivisor:
     form: BinaryForm
     divisor: DivisorP1
     total_degree: int
-
-
-def ramification_form(s: WeierstrassSurface) -> BinaryForm:
-    """The transvectant W of (g4, g6); raises when identically zero."""
-    w = binforms.transvectant_first(s.g4, s.g6)
-    if w.is_zero:
-        raise IsotrivialError(
-            "isotrivial or degenerate family: the transvectant of (g4, g6) "
-            "vanishes identically")
-    return w
 
 
 def ramification_divisor(s: WeierstrassSurface) -> RamificationDivisor:
@@ -105,9 +98,3 @@ def divisor_from_json_dict(data: dict) -> DivisorP1:
     if divisor.degree != int(data["degree"]):
         raise ValueError("divisor degree field disagrees with the points")
     return divisor
-
-
-def save_divisor(d: DivisorP1, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(divisor_to_json_dict(d), fh, indent=2)
-        fh.write("\n")

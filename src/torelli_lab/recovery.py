@@ -169,7 +169,10 @@ def rank_one_oracle_bruteforce(presentation: IVHSPresentation, seed: int = 0):
     Multi-start alternating projection between the subspace and the rank-1
     variety (ORACLE_STARTS_PER_DIM starts per dimension), accepting local
     minimizers of sigma_2/sigma_1 below ORACLE_SIGMA_RATIO and deduplicating
-    projectively.  Cost-gated to N <= 6, h <= 3.
+    projectively.  A start stops when its step, measured by the stable
+    chordal distance, is below 1e-12 (1 - |<c, prev>| cannot resolve
+    steps below about 1.5e-8), or after 500 steps.  Cost-gated to N <= 6,
+    h <= 3.
     """
     n, h = presentation.N, presentation.h
     if n > 6 or h > 3:
@@ -192,7 +195,9 @@ def rank_one_oracle_bruteforce(presentation: IVHSPresentation, seed: int = 0):
             if norm < 1e-13:
                 break
             c /= norm
-            if prev is not None and abs(1.0 - abs(np.vdot(c, prev))) < 1e-28:
+            # chordal_distance(prev, c); both are unit vectors already
+            if prev is not None and \
+                    np.linalg.norm(c - np.vdot(prev, c) * prev) < 1e-12:
                 break
             prev = c
         m = (c @ ortho).reshape(h, n)

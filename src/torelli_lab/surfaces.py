@@ -13,7 +13,9 @@ jet equations
 at each prescribed point via a0 = 3 s^2, b0 = s^3, b1 = a1 s / 2.
 
 Genericity is decided in rational arithmetic without root finding; floats
-appear only in reported fibre coordinates.
+appear only in reported fibre coordinates.  A surface object computes its
+discriminant, its ramification form W and its genericity report at most
+once and keeps them.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ class RejectionBudgetError(TorelliLabError):
     """The randomized constructor exhausted its redraw budget."""
 
 
+class IsotrivialError(TorelliLabError):
+    """The transvectant vanishes identically (g4^3/g6^2 constant)."""
+
+
 def degree_gate_ok(h: int, q: int) -> bool:
     return h >= q + 3 and 8 * h > 10 * (q - 1)
 
@@ -96,10 +102,6 @@ class Invariants:
         and fibre classes."""
         return self.N + 2
 
-    @property
-    def moduli_dimension(self) -> int:
-        return self.N + self.h
-
     def to_json_dict(self) -> dict:
         return {
             "h": self.h,
@@ -114,9 +116,14 @@ class Invariants:
 
 
 class WeierstrassSurface:
-    """Exact Weierstrass data (g4, g6) over a genus-q base (q = 0 in v1)."""
+    """Exact Weierstrass data (g4, g6) over a genus-q base (q = 0 in v1).
 
-    __slots__ = ("q", "dL", "g4", "g6")
+    The slots ``_delta``, ``_w`` and ``_report`` keep the facts computed by
+    ``discriminant``, ``ramification_form`` and ``genericity``; they take no
+    part in equality, repr or the JSON form.
+    """
+
+    __slots__ = ("q", "dL", "g4", "g6", "_delta", "_w", "_report")
 
     def __init__(self, dL: int, g4: BinaryForm, g6: BinaryForm, q: int = 0):
         if q != 0:
@@ -137,6 +144,8 @@ class WeierstrassSurface:
         object.__setattr__(self, "dL", dL)
         object.__setattr__(self, "g4", g4)
         object.__setattr__(self, "g6", g6)
+        for name in ("_delta", "_w", "_report"):
+            object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeierstrassSurface is immutable")
@@ -189,14 +198,33 @@ def invariants(s: WeierstrassSurface) -> Invariants:
     return Invariants.from_genus_irregularity(s.h, s.q)
 
 
+def _stored(s: WeierstrassSurface, slot: str, compute):
+    """The fact kept in ``slot`` of ``s``, computed on first use."""
+    value = getattr(s, slot)
+    if value is None:
+        value = compute()
+        object.__setattr__(s, slot, value)
+    return value
+
+
 def discriminant(s: WeierstrassSurface) -> BinaryForm:
     """Delta = g4^3 - 27 g6^2, a form of degree 12*dL."""
-    delta = s.g4 ** 3 - 27 * s.g6 ** 2
+    delta = _stored(s, "_delta", lambda: s.g4 ** 3 - 27 * s.g6 ** 2)
     if delta.is_zero:
         raise DegenerateSurfaceError(
             "discriminant vanishes identically (isotrivial data): not an "
             "elliptic fibration with varying fibres in the required sense")
     return delta
+
+
+def ramification_form(s: WeierstrassSurface) -> BinaryForm:
+    """The transvectant W of (g4, g6); raises when identically zero."""
+    w = _stored(s, "_w", lambda: transvectant_first(s.g4, s.g6))
+    if w.is_zero:
+        raise IsotrivialError(
+            "isotrivial or degenerate family: the transvectant of (g4, g6) "
+            "vanishes identically")
+    return w
 
 
 def classify_fibers(s: WeierstrassSurface) -> FiberReport:
@@ -296,11 +324,16 @@ def genericity(s: WeierstrassSurface) -> GeneralityReport:
     infinity behaves the same.  Raises ``DegenerateSurfaceError`` when Delta
     vanishes identically.
     """
+    return _stored(s, "_report", lambda: _decide_genericity(s))
+
+
+def _decide_genericity(s: WeierstrassSurface) -> GeneralityReport:
     delta = discriminant(s)
     all_i1 = form_is_squarefree(delta)
     failed = [] if all_i1 else ["a"]
-    w = transvectant_first(s.g4, s.g6)
-    if w.is_zero:
+    try:
+        w = ramification_form(s)
+    except IsotrivialError:
         return GeneralityReport(
             all_fibers_i1=all_i1,
             ram_reduced=False,
@@ -444,14 +477,13 @@ def make_with_I2(h: int, points, seed: int) -> WeierstrassSurface:
         g4 = BinaryForm.from_affine(g4_aff, 4 * dL)
         g6 = BinaryForm.from_affine(g6_aff, 6 * dL)
         s = WeierstrassSurface(dL, g4, g6, q)
-
-        delta = s.g4 ** 3 - 27 * s.g6 ** 2
-        if delta.is_zero:
+        try:
+            delta_aff = poly_strip(discriminant(s).coeffs)
+            ram = ramification_form(s)
+        except (DegenerateSurfaceError, IsotrivialError):
             continue
-        delta_aff = poly_strip(delta.coeffs)
         d1 = binforms.poly_derivative(delta_aff)
         d2 = binforms.poly_derivative(d1)
-        ram = transvectant_first(g4, g6)
         if any(poly_eval(delta_aff, p) or poly_eval(d1, p)
                or ram.eval_pair(Fraction(1), p) for p in pts):
             raise ConsistencyError(

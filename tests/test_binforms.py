@@ -8,18 +8,20 @@ import pytest
 import sympy
 
 from conftest import random_exact_form
+from torelli_lab import binforms
 from torelli_lab.binforms import (
     BinaryForm,
     ProjectivePointP1,
     ZeroFormError,
     affine_transvectant,
+    form_is_squarefree,
+    forms_coprime,
     poly_gcd,
     poly_degree,
     poly_mul,
     poly_scale,
     poly_strip,
     roots_projective,
-    squarefree_and_coprime,
     squarefree_decomposition,
     transvectant_first,
 )
@@ -210,24 +212,26 @@ def test_transvectant_rejects_constants():
 def test_squarefree_and_coprime_examples():
     f = BinaryForm(2, [-1, 0, 1])                      # Z1^2 - Z0^2
     g = BinaryForm(1, [1, 0])                          # Z0
-    assert squarefree_and_coprime(f, g) == (True, True)
+    assert form_is_squarefree(f) and forms_coprime(f, g)
 
     f2 = BinaryForm(3, [0, 1, 0, 0])                   # Z0^2 Z1
-    assert squarefree_and_coprime(f2, g)[0] is False
+    assert form_is_squarefree(f2) is False
 
     f3 = BinaryForm(2, [0, 1, 0])                      # Z0 Z1
-    assert squarefree_and_coprime(f3, g) == (True, False)
+    assert form_is_squarefree(f3) and not forms_coprime(f3, g)
 
 
 def test_squarefree_sees_the_point_at_infinity():
     # affine part z (squarefree) but Z0^2 divides the form
     f = BinaryForm(3, [0, 1, 0, 0])
-    assert squarefree_and_coprime(f, BinaryForm(1, [0, 1]))[0] is False
+    assert form_is_squarefree(f) is False
 
 
 def test_squarefree_and_coprime_rejects_zero():
     with pytest.raises(ZeroFormError):
-        squarefree_and_coprime(BinaryForm.zero(2), BinaryForm(1, [1, 0]))
+        form_is_squarefree(BinaryForm.zero(2))
+    with pytest.raises(ZeroFormError):
+        forms_coprime(BinaryForm.zero(2), BinaryForm(1, [1, 0]))
 
 
 def test_poly_gcd_and_decomposition():
@@ -245,3 +249,17 @@ def test_poly_gcd_and_decomposition():
         prod = poly_mul(poly_mul(a, c), c)
         total = sum(m * poly_degree(f) for f, m in squarefree_decomposition(prod))
         assert total == poly_degree(prod)
+
+
+def test_squarefree_input_is_decomposed_without_a_prs_gcd(monkeypatch):
+    def no_prs(a, b):
+        raise AssertionError("poly_gcd called on a squarefree input")
+
+    rng = random.Random(5)
+    inputs = [[Fraction(-1), Fraction(0), Fraction(1)],
+              poly_strip(transvectant_first(random_exact_form(rng, 8),
+                                            random_exact_form(rng, 12)).coeffs)]
+    expected = [poly_gcd(a, a) for a in inputs]      # primitive integer form
+    monkeypatch.setattr(binforms, "poly_gcd", no_prs)
+    for a, prim in zip(inputs, expected):
+        assert squarefree_decomposition(a) == [(prim, 1)]

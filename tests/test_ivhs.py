@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
+from torelli_lab import binforms, surfaces
 from torelli_lab.binforms import ProjectivePointP1
 from torelli_lab.ivhs import (
     InvalidPresentationError,
@@ -108,3 +109,18 @@ def test_presentation_json_roundtrip(tmp_path):
     assert np.allclose(again.basis, pres.basis)
     tdata = truth_to_json_dict(truth)
     assert len(tdata["points"]) == 38 and len(tdata["lambdas"]) == 38
+
+
+def test_sampled_surface_builds_w_once(monkeypatch):
+    calls = []
+    original = binforms.transvectant_first
+
+    def counted(f, g):
+        calls.append(1)
+        return original(f, g)
+
+    for module in (binforms, surfaces):
+        monkeypatch.setattr(module, "transvectant_first", counted)
+    s = make_random_general(5, seed=0)
+    synthesize(s, seed=0)
+    assert len(calls) == 1

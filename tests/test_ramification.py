@@ -27,8 +27,11 @@ from torelli_lab.surfaces import (
     Invariants,
     WeierstrassSurface,
     classify_fibers,
+    genericity,
     make_random_general,
     make_with_I2,
+    surface_from_json_dict,
+    surface_to_json_dict,
 )
 
 
@@ -181,3 +184,17 @@ def test_divisor_json_roundtrip():
     for (p, m), (p2, m2) in zip(d, back):
         assert m == m2
         assert p.chordal(p2) < 1e-12
+
+
+def test_stored_facts_match_a_reloaded_surface():
+    s = make_random_general(3, seed=4)
+    ram = ramification_divisor(s)
+    fibers = classify_fibers(s)
+    loaded = surface_from_json_dict(surface_to_json_dict(s))
+    assert loaded._report is None and s._report is not None
+    assert genericity(loaded) == genericity(s)
+    assert divisor_to_json_dict(ramification_divisor(loaded).divisor) == \
+        divisor_to_json_dict(ram.divisor)
+    assert classify_fibers(loaded).to_json_dict() == fibers.to_json_dict()
+    assert loaded == s and repr(loaded) == repr(s)
+    assert surface_to_json_dict(loaded) == surface_to_json_dict(s)

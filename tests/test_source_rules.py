@@ -2,15 +2,20 @@
 
 No ``assert`` statements: they vanish under ``python -O``, so a check that
 matters raises a ``TorelliLabError`` subclass.  No environment reads: every
-setting arrives through a function argument or a command-line flag.
+setting arrives through a function argument or a command-line flag.  Every
+name the benchmark's tracer rebinds and every exported name exists, so a
+deletion cannot break ``perfbench`` or ``from torelli_lab import *``.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import torelli_lab
 
 SOURCES = sorted(Path(torelli_lab.__file__).parent.glob("*.py"))
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
@@ -31,3 +36,21 @@ def test_no_asserts_and_no_environment_reads():
     assert len(SOURCES) > 1
     found = [v for path in SOURCES for v in _violations(path)]
     assert found == []
+
+
+def test_traced_and_exported_names_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr, _, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"torelli_lab.{module}")
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        # Tracer.install reads the owner's own __dict__
+        if name not in getattr(owner, "__dict__", {}):
+            missing.append(f"{module}.{attr}")
+    missing += [name for name in torelli_lab.__all__
+                if not hasattr(torelli_lab, name)]
+    assert missing == []

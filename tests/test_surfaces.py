@@ -165,12 +165,11 @@ def test_make_random_general_deterministic():
 
 
 def test_make_random_general_exact_genericity():
-    from torelli_lab.binforms import squarefree_and_coprime
+    from torelli_lab.binforms import form_is_squarefree, forms_coprime
 
     s = make_random_general(3, seed=13)
     delta = discriminant(s)
-    delta_squarefree, delta_avoids_g4 = squarefree_and_coprime(delta, s.g4)
-    assert delta_squarefree and delta_avoids_g4
+    assert form_is_squarefree(delta) and forms_coprime(delta, s.g4)
 
 
 def test_make_with_i2_local_equations_hold_exactly():
