@@ -228,6 +228,14 @@ def poly_gcd(a, b):
     return [Fraction(c) for c in ai]
 
 
+def _gcd_unless_constant(a, b):
+    """The gcd of two nonzero stripped polynomials as ``poly_gcd`` gives
+    it, or None when the modular fast path proves it constant."""
+    if _gcd_constant_fast(_to_int_primitive(a), _to_int_primitive(b)):
+        return None
+    return poly_gcd(a, b)
+
+
 def gcd_is_constant(a, b) -> bool:
     """Exact decision with the modular fast path."""
     a, b = poly_strip(a), poly_strip(b)
@@ -235,10 +243,8 @@ def gcd_is_constant(a, b) -> bool:
         return False
     if len(a) == 1 or len(b) == 1:
         return True
-    fast = _gcd_constant_fast(_to_int_primitive(a), _to_int_primitive(b))
-    if fast:
-        return True
-    return poly_degree(poly_gcd(a, b)) == 0
+    g = _gcd_unless_constant(a, b)
+    return g is None or poly_degree(g) == 0
 
 
 def poly_is_squarefree(a) -> bool:
@@ -254,19 +260,19 @@ def squarefree_decomposition(a):
     """Yun decomposition: list of (primitive factor, multiplicity).
 
     The factors are squarefree, pairwise coprime, and their m-th powers
-    multiply to the input up to a rational constant.  A squarefree input is
-    recognised by ``poly_is_squarefree`` (modular fast path first), so the
-    PRS gcd runs only on inputs with a repeated factor.
+    multiply to the input up to a rational constant.  The modular fast path
+    recognises most squarefree inputs, so the PRS gcd of (a, a') runs only
+    when it is undecided, and then once: its result starts Yun's loop.
     """
     a = poly_strip(a)
     if not a:
         raise ZeroFormError("squarefree decomposition of the zero polynomial")
     if len(a) == 1:
         return []
-    if poly_is_squarefree(a):
-        return [([Fraction(c) for c in _to_int_primitive(a)], 1)]
     da = poly_derivative(a)
-    g = poly_gcd(a, da)
+    g = _gcd_unless_constant(a, da)
+    if g is None or poly_degree(g) == 0:
+        return [([Fraction(c) for c in _to_int_primitive(a)], 1)]
     w = poly_divexact(a, g)
     y = poly_divexact(da, g)
     out = []

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -43,14 +46,18 @@ class InvalidPresentationError(TorelliLabError):
 
 def normalize_phase(x: np.ndarray) -> np.ndarray:
     """Unit norm with the first non-negligible entry rotated real-positive."""
-    x = np.asarray(x, dtype=complex)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
+    return normalize_phase_rows(np.reshape(x, (1, -1)))[0]
+
+
+def normalize_phase_rows(m: np.ndarray) -> np.ndarray:
+    """``normalize_phase`` applied to every row of a 2-D array."""
+    m = np.asarray(m, dtype=complex)
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
         raise ValueError("cannot normalize the zero vector")
-    x = x / norm
-    idx = int(np.argmax(np.abs(x) > 1e-12))
-    pivot = x[idx]
-    return x * (abs(pivot) / pivot)
+    m = m / norms
+    pivots = m[np.arange(len(m)), np.argmax(np.abs(m) > 1e-12, axis=1)]
+    return m * (np.abs(pivots) / pivots)[:, None]
 
 
 @dataclass(frozen=True)
@@ -87,8 +94,9 @@ class IVHSPresentation:
                 f"expected basis of shape {(N, h, N)}, got {basis.shape}")
         if not np.all(np.isfinite(basis)):
             raise InvalidPresentationError("basis contains NaN or Inf")
-        flat = basis.reshape(N, h * N)
-        sv = np.linalg.svd(flat, compute_uv=False)
+        # the singular values of the transpose are the same; LAPACK takes
+        # the tall layout about twice as fast as the wide one
+        sv = np.linalg.svd(basis.reshape(N, h * N).T, compute_uv=False)
         if sv[0] == 0.0 or sv[-1] <= BASIS_INDEPENDENCE_TOL * sv[0]:
             raise InvalidPresentationError(
                 "basis matrices are not numerically independent "
@@ -172,7 +180,9 @@ def synthesize(s: WeierstrassSurface, seed: int, frame_seed=None,
     svals = np.exp(np.linspace(0.0, -np.log(cond), N))
     mixer = (haar_unitary(rng, N) * svals) @ haar_unitary(rng, N).conj().T
 
-    basis = np.einsum("jk,k,ik,ak->jia", mixer, lambdas, X, y_frame)
+    # basis[j, i, a] = sum_k mixer[j, k] lambdas[k] X[i, k] y_frame[a, k]
+    weighted = (mixer * lambdas)[:, None, :] * X
+    basis = (weighted.reshape(N * h, N) @ y_frame.T).reshape(N, h, N)
     gram = np.diag(np.full(N, -2.0 + 0.0j))
     presentation = IVHSPresentation(h=h, N=N, basis=basis, gram=gram)
     truth = GroundTruth(points=points, lambdas=lambdas,
@@ -192,9 +202,28 @@ def _matrix_json(m: np.ndarray) -> list:
     return [[_cplx(z) for z in row] for row in np.asarray(m)]
 
 
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(z[0], z[1]) for z in row] for row in rows],
-                    dtype=complex)
+def _basis_from_json(matrices) -> np.ndarray:
+    """Complex array of a list of equal-shape matrices of [re, im] pairs.
+
+    ValueError on ragged rows or a pair of the wrong length, TypeError on a
+    part that is not a real number.
+    """
+    if len(matrices) == 0:
+        raise ValueError("the basis is empty")
+    rows, cols = len(matrices[0]), len(matrices[0][0])
+    if any(len(m) != rows for m in matrices) or \
+            any(len(row) != cols for m in matrices for row in m):
+        raise ValueError("basis matrices are ragged")
+    pairs = list(chain.from_iterable(chain.from_iterable(matrices)))
+    if set(map(len, pairs)) != {2}:
+        raise ValueError("every basis entry must be a [re, im] pair")
+    # list.extend mapped over the pairs flattens them about twice as fast as
+    # chain.from_iterable, and array("d") fills faster from a list than from
+    # an iterator; it takes real numbers only, as complex(re, im) did
+    parts = []
+    deque(map(parts.extend, pairs), maxlen=0)
+    return np.frombuffer(array("d", parts), dtype=complex).reshape(
+        len(matrices), rows, cols)
 
 
 def presentation_to_json_dict(p: IVHSPresentation) -> dict:
@@ -209,8 +238,8 @@ def presentation_from_json_dict(data: dict) -> IVHSPresentation:
     try:
         h = int(data["h"])
         n = int(data["N"])
-        basis = np.stack([_matrix_from_json(m) for m in data["basis"]])
-    except (KeyError, ValueError, TypeError) as exc:
+        basis = _basis_from_json(data["basis"])
+    except (KeyError, IndexError, ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"malformed presentation data: {exc}") from exc
     return IVHSPresentation(h=h, N=n, basis=basis)
 

@@ -302,20 +302,3 @@ def verification_report(trials: int = 200, max_order: int = MAX_ORDER_DEFAULT,
         "status": "ok" if all_pass else "failed",
     }
 
-
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
-
-def jets_to_json_dict(b: JetCoefficients) -> dict:
-    return {"b": [[m, n, str(v)] for (m, n), v in b.items()],
-            "max_order": b.max_order}
-
-
-def jets_from_json_dict(data: dict) -> JetCoefficients:
-    try:
-        entries = {(int(m), int(n)): Fraction(v) for m, n, v in data["b"]}
-        max_order = int(data.get("max_order", MAX_ORDER_DEFAULT))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"malformed jet data: {exc}") from exc
-    return JetCoefficients(entries, max_order)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import binforms
-from .binforms import BinaryForm, DivisorP1, ProjectivePointP1
+from .binforms import BinaryForm, DivisorP1
 from .errors import ConsistencyError
 from .surfaces import (
     GeneralityReport,
@@ -84,17 +84,3 @@ def divisor_to_json_dict(d: DivisorP1) -> dict:
         points.append({"z": z, "mult": mult})
     return {"points": points, "degree": d.degree}
 
-
-def divisor_from_json_dict(data: dict) -> DivisorP1:
-    entries = []
-    for item in data["points"]:
-        z = item["z"]
-        if z == "inf":
-            p = ProjectivePointP1.infinity()
-        else:
-            p = ProjectivePointP1.from_affine(complex(z[0], z[1]))
-        entries.append((p, int(item["mult"])))
-    divisor = DivisorP1(tuple(entries))
-    if divisor.degree != int(data["degree"]):
-        raise ValueError("divisor degree field disagrees with the points")
-    return divisor

@@ -28,7 +28,13 @@ from scipy.optimize import linear_sum_assignment
 
 from . import linalg
 from .errors import TorelliLabError, UsageError
-from .ivhs import IVHSPresentation, canonical_point, normalize_phase, synthesize
+from .ivhs import (
+    IVHSPresentation,
+    canonical_point,
+    normalize_phase,
+    normalize_phase_rows,
+    synthesize,
+)
 from .linalg import EigenConvergenceError
 from .ramification import ramification_divisor
 from .surfaces import WeierstrassSurface, invariants
@@ -60,7 +66,9 @@ class StageError(TorelliLabError):
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Tolerances of the pipeline (defaults validated for h <= 6, N <= 68)."""
+    """Tolerances of the pipeline (defaults validated for h <= 8, N <= 88:
+    the tests extract and interpolate up to h = 8, the size of the
+    benchmark's recovery workload)."""
 
     confidence_min: float = 0.999
     nullspace_rel_tol: float = 1e-8
@@ -98,9 +106,11 @@ def chordal_distance(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(y - np.vdot(x, y) * x))
 
 
-def _factor_sort_key(f: RankOneFactor):
-    return tuple(np.round(
-        np.concatenate([f.x.real, f.x.imag]), 9))
+def _factor_order(x: np.ndarray) -> np.ndarray:
+    """Indices that sort the rows of ``x`` lexicographically by their real
+    parts then their imaginary parts, each rounded to 9 decimals."""
+    keys = np.round(np.concatenate([x.real, x.imag], axis=1), 9)
+    return np.lexsort(keys.T[::-1])
 
 
 def extract_rank_ones(presentation: IVHSPresentation, seed: int,
@@ -112,12 +122,14 @@ def extract_rank_ones(presentation: IVHSPresentation, seed: int,
     if n < 2:
         raise UsageError("extraction needs N >= 2")
     rng = np.random.default_rng(seed)
+    stacked = basis.reshape(n * h, n)
     reasons = []
     for _ in range(EXTRACTION_RETRIES):
         u1 = rng.standard_normal(h) + 1j * rng.standard_normal(h)
         u2 = rng.standard_normal(h) + 1j * rng.standard_normal(h)
-        p1 = np.einsum("d,jda->aj", u1, basis)
-        p2 = np.einsum("d,jda->aj", u2, basis)
+        # p[a, j] = sum_d u[d] basis[j, d, a]
+        p1 = (u1 @ basis).T
+        p2 = (u2 @ basis).T
         sv = np.linalg.svd(p2, compute_uv=False)
         if sv[-1] == 0.0 or sv[0] / sv[-1] > CONTRACTION_COND_MAX:
             reasons.append("ill-conditioned contraction")
@@ -143,20 +155,20 @@ def extract_rank_ones(presentation: IVHSPresentation, seed: int,
         except np.linalg.LinAlgError:
             reasons.append("singular eigenframe")
             continue
-        slices = np.einsum("jda,ak->kdj", basis, dual)
-        factors = []
-        for k in range(n):
-            u, s, _ = np.linalg.svd(slices[k])
-            confidence = float(1.0 - s[1] / s[0]) if s[0] > 0 else 0.0
-            if confidence <= config.confidence_min:
-                break
-            factors.append(RankOneFactor(
-                x=normalize_phase(u[:, 0]),
-                y=normalize_phase(y_frame[:, k]),
-                confidence=confidence,
-            ))
-        if len(factors) == n:
-            return sorted(factors, key=_factor_sort_key)
+        # slice k is the h x N matrix sum_a basis[:, :, a] dual[a, k], taken
+        # here as its N x h transpose, which LAPACK factors faster; the top
+        # left singular vector of slice k is then the conjugate of the first
+        # row of vh[k]
+        tall = (stacked @ dual).reshape(n, h, n).transpose(2, 0, 1)
+        _, s, vh = np.linalg.svd(tall, full_matrices=False)
+        ratio = np.divide(s[:, 1], s[:, 0], out=np.ones(n), where=s[:, 0] > 0)
+        confidences = 1.0 - ratio
+        if np.all(confidences > config.confidence_min):
+            xs = normalize_phase_rows(vh[:, 0, :])
+            ys = normalize_phase_rows(y_frame.T)
+            return [RankOneFactor(x=xs[k], y=ys[k],
+                                  confidence=float(confidences[k]))
+                    for k in _factor_order(xs)]
         reasons.append("slice not rank 1")
     raise DegeneratePresentationError(
         "degenerate presentation: no rank-1 frame found in "
@@ -211,7 +223,9 @@ def rank_one_oracle_bruteforce(presentation: IVHSPresentation, seed: int = 0):
             continue
         found.append(RankOneFactor(x=x, y=y,
                                    confidence=float(1.0 - s[1] / s[0])))
-    return sorted(found, key=_factor_sort_key)
+    if not found:
+        return []
+    return [found[k] for k in _factor_order(np.vstack([f.x for f in found]))]
 
 
 @dataclass(frozen=True)
@@ -231,10 +245,20 @@ class RecoveredGeometry:
 
 
 def _veronese2(x: np.ndarray) -> np.ndarray:
-    """Degree-2 monomials x_i x_j, i <= j, in lexicographic order."""
-    h = len(x)
-    return np.array([x[i] * x[j] for i in range(h) for j in range(i, h)],
-                    dtype=complex)
+    """Degree-2 monomials x_i x_j, i <= j, in lexicographic order, of a
+    point or of each row of a stack of points."""
+    x = np.asarray(x, dtype=complex)
+    i, j = np.triu_indices(x.shape[-1])
+    return x[..., i] * x[..., j]
+
+
+def _max_quadric_value(points: np.ndarray, quadrics) -> float:
+    """max |v^T q v| over the rows v of ``points`` and the quadrics q."""
+    if len(quadrics) == 0:
+        return 0.0
+    # values[m, k] = v_k^T q_m v_k, without conjugation
+    values = np.sum((points @ np.asarray(quadrics)) * points, axis=-1)
+    return float(np.max(np.abs(values)))
 
 
 def expected_quadric_dimension(h: int) -> int:
@@ -252,36 +276,25 @@ def recover_geometry(factors, h: int,
         raise UsageError(
             f"expected N = 10h+8 = {expected_n} factors for h = {h}, got {n}")
     z = np.vstack([f.x for f in factors])
-    rows = np.vstack([_veronese2(z[i]) for i in range(n)])
-    null = linalg.nullspace(rows, config.nullspace_rel_tol)
+    null = linalg.nullspace(_veronese2(z), config.nullspace_rel_tol)
     dim = null.shape[1]
     if dim != expected_quadric_dimension(h):
         raise InterpolationDimensionError(
             f"interpolation dimension mismatch: got {dim} quadrics, expected "
             f"{expected_quadric_dimension(h)} for h = {h}")
-    quadrics = []
-    for j in range(dim):
-        q = np.zeros((h, h), dtype=complex)
-        idx = 0
-        for i in range(h):
-            for k in range(i, h):
-                c = null[idx, j]
-                if i == k:
-                    q[i, i] = c
-                else:
-                    q[i, k] = c / 2
-                    q[k, i] = c / 2
-                idx += 1
-        quadrics.append(q / np.linalg.norm(q))
-    residual = 0.0
-    for i in range(n):
-        for q in quadrics:
-            residual = max(residual, abs(z[i] @ q @ z[i]))
+    # the symmetric matrix of each nullspace vector: its coefficient of
+    # x_i x_j is split evenly between entries (i, j) and (j, i)
+    i, j = np.triu_indices(h)
+    entries = null.T * np.where(i == j, 1.0, 0.5)
+    quadrics = np.zeros((dim, h, h), dtype=complex)
+    quadrics[:, i, j] = entries
+    quadrics[:, j, i] = entries
+    quadrics /= np.linalg.norm(quadrics, axis=(1, 2), keepdims=True)
     return RecoveredGeometry(
         z_points=z,
         quadric_basis=tuple(quadrics),
         quadric_dim=dim,
-        point_residual_max=float(residual),
+        point_residual_max=_max_quadric_value(z, quadrics),
     )
 
 
@@ -343,14 +356,12 @@ def match_points(recovered: np.ndarray, truth: np.ndarray) -> MatchReport:
 
 
 def _curve_samples(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Fresh unit Veronese samples of the degree h-1 rational normal curve."""
-    from .binforms import ProjectivePointP1
-
-    samples = []
-    for _ in range(count):
-        z = rng.standard_normal() + 1j * rng.standard_normal()
-        samples.append(canonical_point(ProjectivePointP1.from_affine(z), h).x)
-    return np.vstack(samples)
+    """Fresh unit Veronese samples of the degree h-1 rational normal curve:
+    the rows (1, z, ..., z^(h-1)), normalized as ``canonical_point`` does,
+    at affine points z drawn real part then imaginary part per sample."""
+    draws = rng.standard_normal(2 * count)
+    z = draws[0::2] + 1j * draws[1::2]
+    return normalize_phase_rows(z[:, None] ** np.arange(h))
 
 
 def roundtrip(s: WeierstrassSurface, seed: int,
@@ -397,10 +408,7 @@ def roundtrip(s: WeierstrassSurface, seed: int,
 
     rng = np.random.default_rng(seed + 2 * 10**6)
     samples = _curve_samples(inv.h, CURVE_SAMPLES, rng)
-    residual = 0.0
-    for v in samples:
-        for q in geometry.quadric_basis:
-            residual = max(residual, abs(v @ q @ v))
+    residual = _max_quadric_value(samples, geometry.quadric_basis)
 
     recovered_dl = (inv.h - 1) - (2 * s.q - 2)
     return RoundTripReport(

@@ -16,8 +16,12 @@ from torelli_lab.binforms import (
     affine_transvectant,
     form_is_squarefree,
     forms_coprime,
+    poly_add,
+    poly_derivative,
+    poly_divexact,
     poly_gcd,
     poly_degree,
+    poly_is_squarefree,
     poly_mul,
     poly_scale,
     poly_strip,
@@ -25,6 +29,7 @@ from torelli_lab.binforms import (
     squarefree_decomposition,
     transvectant_first,
 )
+from torelli_lab.surfaces import discriminant, make_with_I2
 
 SQRT2 = math.sqrt(2.0)
 
@@ -263,3 +268,54 @@ def test_squarefree_input_is_decomposed_without_a_prs_gcd(monkeypatch):
     monkeypatch.setattr(binforms, "poly_gcd", no_prs)
     for a, prim in zip(inputs, expected):
         assert squarefree_decomposition(a) == [(prim, 1)]
+
+
+def _squarefree_decomposition_before_shared_gcd(a):
+    """Yun behind a separate squarefree test, which computes the gcd of
+    (a, a') a second time on an input with a repeated factor: the reference
+    of the test below.  Every gcd goes through the module attribute
+    ``binforms.poly_gcd`` so that a patched counter sees it."""
+    a = poly_strip(a)
+    if poly_is_squarefree(a):
+        return [([Fraction(c) for c in binforms._to_int_primitive(a)], 1)]
+    da = poly_derivative(a)
+    g = binforms.poly_gcd(a, da)
+    w = poly_divexact(a, g)
+    y = poly_divexact(da, g)
+    out = []
+    k = 1
+    while True:
+        z = poly_add(y, poly_scale(poly_derivative(w), -1))
+        if not z:
+            if poly_degree(w) > 0:
+                out.append(([Fraction(c) for c in binforms._to_int_primitive(w)], k))
+            break
+        p = binforms.poly_gcd(w, z)
+        if poly_degree(p) > 0:
+            out.append(([Fraction(c) for c in p], k))
+            w = poly_divexact(w, p)
+            y = poly_divexact(z, p)
+        else:
+            y = z
+        k += 1
+    return out
+
+
+def test_repeated_factor_costs_one_gcd_of_a_and_its_derivative(monkeypatch):
+    # Delta of a surface with prescribed I2 fibres has double roots there
+    delta = poly_strip(discriminant(make_with_I2(3, [0, 1], seed=1)).coeffs)
+    calls = []
+    original = binforms.poly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(binforms, "poly_gcd", counted)
+    before = _squarefree_decomposition_before_shared_gcd(delta)
+    calls_before = len(calls)
+    calls.clear()
+    after = squarefree_decomposition(delta)
+    assert after == before
+    assert [m for _, m in after] == [1, 2]
+    assert len(calls) == calls_before - 1

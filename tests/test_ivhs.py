@@ -1,12 +1,16 @@
 """Forward model: canonical points and the synthetic period presentation."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
 from torelli_lab import binforms, surfaces
 from torelli_lab.binforms import ProjectivePointP1
+from torelli_lab.errors import UsageError
 from torelli_lab.ivhs import (
+    BASIS_INDEPENDENCE_TOL,
     InvalidPresentationError,
     IVHSPresentation,
     NonGenericSurfaceError,
@@ -103,12 +107,65 @@ def test_presentation_json_roundtrip(tmp_path):
     save_presentation(pres, path)
     back = load_presentation(path)
     assert (back.h, back.N) == (pres.h, pres.N)
-    assert np.allclose(back.basis, pres.basis)
+    # JSON keeps every float exactly, so the decode gives back the same bits
+    assert np.array_equal(back.basis, pres.basis)
     data = presentation_to_json_dict(pres)
     again = presentation_from_json_dict(data)
-    assert np.allclose(again.basis, pres.basis)
+    assert np.array_equal(again.basis, pres.basis)
     tdata = truth_to_json_dict(truth)
     assert len(tdata["points"]) == 38 and len(tdata["lambdas"]) == 38
+
+
+def _tiny_presentation_data():
+    rng = np.random.default_rng(8)
+    basis = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
+    return json.loads(json.dumps(presentation_to_json_dict(
+        IVHSPresentation(h=2, N=3, basis=basis))))
+
+
+@pytest.mark.parametrize("defect", [
+    "ragged row", "one part", "three parts", "string part", "no basis"])
+def test_presentation_decode_rejects_malformed_data(defect):
+    data = _tiny_presentation_data()
+    assert presentation_from_json_dict(data).basis.shape == (3, 2, 3)
+    entries = data["basis"][1][0]
+    if defect == "ragged row":
+        entries.append([0.0, 0.0])
+    elif defect == "one part":
+        entries[2] = entries[2][:1]
+    elif defect == "three parts":
+        entries[2].append(0.0)
+    elif defect == "string part":
+        entries[2][0] = "0.5"
+    else:
+        del data["basis"]
+    with pytest.raises(UsageError):
+        presentation_from_json_dict(data)
+
+
+def test_presentation_decode_of_mismatched_shape_is_invalid():
+    data = _tiny_presentation_data()
+    data["N"] = 4
+    with pytest.raises(InvalidPresentationError):
+        presentation_from_json_dict(data)
+
+
+@pytest.mark.parametrize("ratio,accepted", [(0.5, False), (2.0, True)])
+def test_independence_cut_sits_at_its_tolerance(ratio, accepted):
+    # flattened basis with singular values 1, 1, 1, ratio * tol
+    rng = np.random.default_rng(6)
+    n, h = 4, 3
+    left, _ = np.linalg.qr(rng.standard_normal((n, n))
+                           + 1j * rng.standard_normal((n, n)))
+    right, _ = np.linalg.qr(rng.standard_normal((h * n, n))
+                            + 1j * rng.standard_normal((h * n, n)))
+    svals = np.array([1.0, 1.0, 1.0, ratio * BASIS_INDEPENDENCE_TOL])
+    basis = ((left * svals) @ right.conj().T).reshape(n, h, n)
+    if accepted:
+        IVHSPresentation(h=h, N=n, basis=basis)
+    else:
+        with pytest.raises(InvalidPresentationError):
+            IVHSPresentation(h=h, N=n, basis=basis)
 
 
 def test_sampled_surface_builds_w_once(monkeypatch):

@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from torelli_lab.errors import UsageError
 from torelli_lab.jets import JetSeries
 from torelli_lab.plumbing import (
+    MAX_ORDER_DEFAULT,
     JetCoefficients,
     JetOrderError,
     check_closed_forms,
     check_eta_proportionality,
-    jets_from_json_dict,
-    jets_to_json_dict,
     leading_coefficient,
     random_jet_coefficients,
     residue_coefficient,
@@ -119,6 +119,20 @@ def test_jet_coefficient_validation():
         JetCoefficients({(-1, 0): 1})
     with pytest.raises(TypeError):
         JetCoefficients({(0, 0): 0.5})
+
+
+def jets_to_json_dict(b: JetCoefficients) -> dict:
+    return {"b": [[m, n, str(v)] for (m, n), v in b.items()],
+            "max_order": b.max_order}
+
+
+def jets_from_json_dict(data: dict) -> JetCoefficients:
+    try:
+        entries = {(int(m), int(n)): Fraction(v) for m, n, v in data["b"]}
+        max_order = int(data.get("max_order", MAX_ORDER_DEFAULT))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise UsageError(f"malformed jet data: {exc}") from exc
+    return JetCoefficients(entries, max_order)
 
 
 def test_jets_json_roundtrip():

@@ -16,7 +16,6 @@ from torelli_lab.binforms import (
 from torelli_lab.errors import ConsistencyError
 from torelli_lab.ramification import (
     IsotrivialError,
-    divisor_from_json_dict,
     divisor_to_json_dict,
     is_general,
     ramification_divisor,
@@ -172,6 +171,22 @@ def test_schottky_degree_check():
         assert 10 * (h + 1) - 2 == expected
     s = make_random_general(3, seed=6)
     assert schottky_degree_check(s)
+
+
+def divisor_from_json_dict(data: dict) -> DivisorP1:
+    """Reader of ``divisor_to_json_dict``, the oracle of its round trip."""
+    entries = []
+    for item in data["points"]:
+        z = item["z"]
+        if z == "inf":
+            p = ProjectivePointP1.infinity()
+        else:
+            p = ProjectivePointP1.from_affine(complex(z[0], z[1]))
+        entries.append((p, int(item["mult"])))
+    divisor = DivisorP1(tuple(entries))
+    if divisor.degree != int(data["degree"]):
+        raise ValueError("divisor degree field disagrees with the points")
+    return divisor
 
 
 def test_divisor_json_roundtrip():

@@ -1,12 +1,18 @@
 """Rank-one extraction, the brute-force oracle, and the round trip."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from torelli_lab import linalg, recovery
 from torelli_lab.errors import UsageError
-from torelli_lab.ivhs import IVHSPresentation, synthesize
+from torelli_lab.ivhs import IVHSPresentation, normalize_phase, synthesize
 from torelli_lab.linalg import nullspace
 from torelli_lab.recovery import (
+    CONTRACTION_COND_MAX,
+    DEFAULT_CONFIG,
+    EIG_GAP_MIN,
     DegeneratePresentationError,
     InterpolationDimensionError,
     RankOneFactor,
@@ -38,6 +44,12 @@ def factor_sets_match(a, b, tol):
         if best > tol:
             return False
     return True
+
+
+@functools.lru_cache(maxsize=None)
+def synthesized(h):
+    """A synthesized presentation at h (cached: h = 8 takes a second)."""
+    return synthesize(make_random_general(h, seed=h), seed=h)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +255,145 @@ def test_roundtrip_corrupt_span_fails_at_extraction():
     with pytest.raises(StageError) as err:
         roundtrip(s, seed=5, corrupt_span=True)
     assert err.value.stage == "extract"
+
+
+# ---------------------------------------------------------------------------
+# the vectorized extraction and interpolation against their loop forms
+# ---------------------------------------------------------------------------
+
+def _loop_extract_rank_ones(presentation, seed, config=DEFAULT_CONFIG):
+    """The extractor written with one einsum and one full SVD per slice:
+    the loop-form reference the batched extractor must reproduce."""
+    basis = presentation.basis
+    n, h = presentation.N, presentation.h
+    rng = np.random.default_rng(seed)
+    for _ in range(recovery.EXTRACTION_RETRIES):
+        u1 = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+        u2 = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+        p1 = np.einsum("d,jda->aj", u1, basis)
+        p2 = np.einsum("d,jda->aj", u2, basis)
+        sv = np.linalg.svd(p2, compute_uv=False)
+        if sv[-1] == 0.0 or sv[0] / sv[-1] > CONTRACTION_COND_MAX:
+            continue
+        pencil = np.linalg.solve(p2.T, p1.T).T
+        try:
+            eig = linalg.eig_general(pencil)
+        except linalg.EigenConvergenceError:
+            continue
+        if eig.defective:
+            continue
+        scale = max(1.0, float(np.max(np.abs(eig.values))))
+        gaps = np.abs(eig.values[:, None] - eig.values[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if float(np.min(gaps)) < EIG_GAP_MIN * scale:
+            continue
+        y_frame = eig.vectors
+        try:
+            dual = np.linalg.solve(y_frame.T, np.eye(n, dtype=complex))
+        except np.linalg.LinAlgError:
+            continue
+        slices = np.einsum("jda,ak->kdj", basis, dual)
+        factors = []
+        for k in range(n):
+            u, s, _ = np.linalg.svd(slices[k])
+            confidence = float(1.0 - s[1] / s[0]) if s[0] > 0 else 0.0
+            if confidence <= config.confidence_min:
+                break
+            factors.append(RankOneFactor(
+                x=normalize_phase(u[:, 0]),
+                y=normalize_phase(y_frame[:, k]),
+                confidence=confidence,
+            ))
+        if len(factors) == n:
+            return sorted(factors, key=lambda f: tuple(np.round(
+                np.concatenate([f.x.real, f.x.imag]), 9)))
+    raise DegeneratePresentationError("no rank-1 frame found")
+
+
+def _loop_quadrics(factors, h, config=DEFAULT_CONFIG):
+    """The quadric basis built entry by entry from the nullspace of the
+    Veronese rows: the loop-form reference of ``recover_geometry``."""
+    z = np.vstack([f.x for f in factors])
+    rows = np.vstack([_veronese2(z[i]) for i in range(len(z))])
+    null = nullspace(rows, config.nullspace_rel_tol)
+    quadrics = []
+    for j in range(null.shape[1]):
+        q = np.zeros((h, h), dtype=complex)
+        idx = 0
+        for i in range(h):
+            for k in range(i, h):
+                c = null[idx, j]
+                if i == k:
+                    q[i, i] = c
+                else:
+                    q[i, k] = c / 2
+                    q[k, i] = c / 2
+                idx += 1
+        quadrics.append(q / np.linalg.norm(q))
+    return quadrics
+
+
+@pytest.mark.parametrize("h", [3, 4, 5, 6, 8])
+def test_vectorized_extraction_matches_the_loop_form(h):
+    pres = synthesized(h)
+    new = extract_rank_ones(pres, seed=h)
+    old = _loop_extract_rank_ones(pres, seed=h)
+    assert len(new) == len(old) == pres.N
+    for f, g in zip(new, old):        # same order, factor by factor
+        assert chordal_distance(f.x, g.x) < 1e-10
+        assert chordal_distance(f.y, g.y) < 1e-10
+        assert abs(f.confidence - g.confidence) < 1e-10
+
+    geometry = recover_geometry(new, h)
+    old_quadrics = _loop_quadrics(old, h)
+    assert geometry.quadric_dim == len(old_quadrics) \
+        == expected_quadric_dimension(h)
+    if old_quadrics:
+        span = np.vstack([q.reshape(-1) for q in geometry.quadric_basis]).T
+        ortho, _ = np.linalg.qr(span)
+        for q in old_quadrics:
+            v = q.reshape(-1)
+            assert np.linalg.norm(v - ortho @ (ortho.conj().T @ v)) < 1e-10
+        residual = max(abs(z @ q @ z) for z in geometry.z_points
+                       for q in geometry.quadric_basis)
+        assert geometry.point_residual_max == pytest.approx(residual, rel=1e-6)
+
+
+def test_veronese_rows_of_a_stack_are_the_rows_of_each_point():
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    rows = _veronese2(z)
+    assert rows.shape == (5, 10)
+    for k in range(5):
+        expected = [z[k, i] * z[k, j] for i in range(4) for j in range(i, 4)]
+        # equal up to rounding: numpy's vector loop may fuse multiply-adds
+        np.testing.assert_allclose(rows[k], expected, rtol=1e-14)
+        np.testing.assert_array_equal(_veronese2(z[k]), rows[k])
+
+
+def test_extraction_svd_count_does_not_grow_with_n(monkeypatch):
+    svd_calls, eig_calls = [], []
+    svd, eig_general = np.linalg.svd, linalg.eig_general
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+
+    def counted_eig(*args, **kwargs):
+        eig_calls.append(1)
+        return eig_general(*args, **kwargs)
+
+    counts = {}
+    for h in (3, 4):
+        pres = synthesized(h)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(linalg, "eig_general", counted_eig)
+        svd_calls.clear()
+        eig_calls.clear()
+        extract_rank_ones(pres, seed=h)
+        monkeypatch.undo()
+        assert len(eig_calls) == 1           # one successful attempt
+        counts[pres.N] = len(svd_calls)
+    # the contraction's condition, the eigenframe's independence, and one
+    # batched SVD of all N slices
+    assert counts == {38: 3, 48: 3}
