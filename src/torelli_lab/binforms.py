@@ -10,8 +10,9 @@ Exact decisions (gcd, squarefreeness, multiplicity structure) are made in
 rational arithmetic via a primitive pseudo-remainder sequence, with a
 one-sided modular fast path: if the gcd of the reductions mod a large prime
 (not dividing the leading coefficients) is constant, the rational gcd is
-certainly constant.  Numerical root finding uses simultaneous Aberth-Ehrlich
-iteration with a companion-matrix fallback guarded by a backward-error check.
+certainly constant.  Numerical roots are companion-matrix eigenvalues
+polished by one Newton step, and every root is checked against a
+backward-error bound.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import numpy as np
 from .errors import TorelliLabError
 
 CLUSTER_TOL = 1e-7
-ABERTH_MAX_ITER = 200
-ABERTH_STEP_TOL = 1e-13
 BACKWARD_ERROR_TOL = 1e-9
 
 # Large primes for the one-sided "gcd is constant" test.
@@ -121,21 +120,22 @@ def poly_divexact(a, b):
     return q
 
 
-def _to_int_primitive(coeffs):
-    """Clear denominators and content; sign fixed so the leading entry > 0."""
-    a = poly_strip(coeffs)
-    if not a:
+def _int_primitive(ints):
+    """Strip, divide out the content and make the leading entry > 0."""
+    ints = poly_strip(ints)
+    if not ints:
         return []
-    den = 1
-    for c in a:
-        den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in a]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     return [c // g for c in ints]
+
+
+def _to_int_primitive(coeffs):
+    """Clear denominators and content; sign fixed so the leading entry > 0."""
+    a = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in a))
+    return _int_primitive([int(c * den) for c in a])
 
 
 def _poly_mod_p(ints, p):
@@ -194,21 +194,6 @@ def _pseudo_rem(a, b):
     while i >= 0 and r[i] == 0:
         i -= 1
     return r[: i + 1]
-
-
-def _int_primitive(ints):
-    i = len(ints) - 1
-    while i >= 0 and ints[i] == 0:
-        i -= 1
-    ints = ints[: i + 1]
-    if not ints:
-        return []
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints]
 
 
 def poly_gcd(a, b):
@@ -305,78 +290,37 @@ def _polyval_vec(coeffs, z):
     return acc
 
 
-def _aberth(coeffs):
-    """Aberth-Ehrlich simultaneous iteration on a dense complex polynomial.
-
-    ``coeffs`` is ascending with a nonzero leading entry.  Initial guesses
-    sit on a perturbed circle at the Fujiwara root bound; iteration stops
-    when every correction is below 1e-13 relative to the root magnitude.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    n = len(c) - 1
-    if n <= 0:
-        return np.empty(0, dtype=complex)
-    c = c / c[-1]
-    if n == 1:
-        return np.array([-c[0]])
-    k = np.arange(1, n + 1)
-    mags = np.abs(c[n - k])
-    nz = mags > 0
-    radius = 2.0 * np.max(mags[nz] ** (1.0 / k[nz])) if np.any(nz) else 1.0
-    radius = max(radius, 1e-3)
-    idx = np.arange(n)
-    theta = 2.0 * np.pi * (idx + 0.35) / n + 0.45
-    z = radius * (0.7 + 0.3 * idx / max(1, n - 1)) * np.exp(1j * theta)
-    dc = np.array([i * c[i] for i in range(1, n + 1)], dtype=complex)
-    for _ in range(ABERTH_MAX_ITER):
-        p = _polyval_vec(c, z)
-        dp = _polyval_vec(dc, z)
-        with np.errstate(all="ignore"):
-            newton = np.where(dp != 0, p / np.where(dp != 0, dp, 1), 0.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - newton * s
-            w = np.where(denom != 0, newton / np.where(denom != 0, denom, 1), newton)
-        w = np.where(np.isfinite(w), w, 0.0)
-        z = z - w
-        if not np.all(np.isfinite(z)):
-            return None
-        if np.all(np.abs(w) <= ABERTH_STEP_TOL * np.maximum(1.0, np.abs(z))):
-            break
-    return z
-
-
 def _roots_dense(coeffs):
-    """All affine roots with a backward-error guarantee.
+    """All n affine roots of a dense polynomial with a nonzero leading entry.
 
-    Aberth first; any root failing the normalized residual bound triggers
-    a companion-matrix (numpy.roots) fallback.  The contract is the
-    backward-error bound, not the method.
+    Companion-matrix eigenvalues (numpy.roots) are backward stable for the
+    coefficient vector (Edelman & Murakami, Math. Comp. 64, 1995).  One
+    Newton step polishes them, kept only where it lowers |p|.  Every root
+    must meet the backward-error bound |p(z)| <= BACKWARD_ERROR_TOL *
+    max(1, |z|)^n for the coefficients scaled to unit max-norm; otherwise
+    TorelliLabError is raised.
     """
     c = np.asarray(coeffs, dtype=complex)
     n = len(c) - 1
     if n <= 0:
         return np.empty(0, dtype=complex)
-    scale = np.max(np.abs(c))
-    c = c / scale
-
-    def backward_ok(roots):
-        if roots is None or len(roots) != n or not np.all(np.isfinite(roots)):
-            return False
-        vals = np.abs(_polyval_vec(c, roots))
-        bound = BACKWARD_ERROR_TOL * np.maximum(1.0, np.abs(roots)) ** n
-        return bool(np.all(vals <= bound))
-
-    roots = _aberth(c)
-    if backward_ok(roots):
-        return roots
-    fallback = np.roots(c[::-1])
-    if len(fallback) == n and np.all(np.isfinite(fallback)):
-        return np.asarray(fallback, dtype=complex)
-    if roots is not None and len(roots) == n and np.all(np.isfinite(roots)):
-        return roots
-    raise TorelliLabError("polynomial root finding failed to converge")
+    c = c / np.max(np.abs(c))
+    z = np.asarray(np.roots(c[::-1]), dtype=complex)
+    if len(z) != n:
+        raise TorelliLabError(f"root finding returned {len(z)} of {n} roots")
+    with np.errstate(all="ignore"):
+        p = _polyval_vec(c, z)
+        newton = z - p / _polyval_vec(c[1:] * np.arange(1, n + 1), z)
+        p_newton = _polyval_vec(c, newton)
+        better = np.abs(p_newton) < np.abs(p)
+        z = np.where(better, newton, z)
+        p = np.where(better, p_newton, p)
+        ok = np.isfinite(z) & (
+            np.abs(p) <= BACKWARD_ERROR_TOL * np.maximum(1.0, np.abs(z)) ** n)
+    if not np.all(ok):
+        raise TorelliLabError(
+            f"{np.count_nonzero(~ok)} of {n} roots miss the backward-error bound")
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Dense complex linear algebra used by the recovery pipeline.
 
 Thin contract-bearing wrappers over LAPACK via numpy: the guarantees are
-accuracy bounds (nullspace and eigenpair residuals), not specific
-algorithms.  Matrices are plain 2-D complex ndarrays; construction-time
-validation rejects non-finite entries.
+an accuracy bound on the nullspace and a completeness check on the
+eigenvector basis, not specific algorithms.  Matrices are plain 2-D complex
+ndarrays; construction-time validation rejects non-finite entries.
 """
 
 from __future__ import annotations
@@ -16,11 +16,7 @@ from .errors import TorelliLabError
 
 
 class EigenConvergenceError(TorelliLabError):
-    """Eigeniteration did not converge; ``partial`` holds whatever exists."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Eigeniteration did not converge."""
 
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
@@ -56,16 +52,15 @@ def nullspace(a, rel_tol: float) -> np.ndarray:
 class EigResult:
     values: np.ndarray
     vectors: np.ndarray          # unit columns, vectors[:, k] pairs values[k]
-    residuals: np.ndarray        # ||A v - lambda v|| per pair
     defective: bool
 
 
 def eig_general(a) -> EigResult:
     """Eigenpairs of a general square complex matrix.
 
-    Eigenvectors come back unit-norm with per-pair residuals; ``defective``
-    flags an (numerically) incomplete eigenvector basis so callers can retry
-    with fresh randomness rather than trust a bad frame.
+    Eigenvectors come back unit-norm; ``defective`` flags a (numerically)
+    incomplete eigenvector basis so callers can retry with fresh randomness
+    rather than trust a bad frame.
     """
     m = as_cmatrix(a)
     if m.shape[0] != m.shape[1]:
@@ -77,9 +72,8 @@ def eig_general(a) -> EigResult:
     norms = np.linalg.norm(vectors, axis=0)
     norms[norms == 0.0] = 1.0
     vectors = vectors / norms
-    residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
     if m.shape[0] == 0:
-        return EigResult(values, vectors, residuals, False)
+        return EigResult(values, vectors, False)
     sv = np.linalg.svd(vectors, compute_uv=False)
     defective = bool(sv[-1] <= 1e-12 * max(sv[0], 1.0))
-    return EigResult(values, vectors, residuals, defective)
+    return EigResult(values, vectors, defective)

@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 import sympy
 
@@ -29,7 +31,13 @@ from torelli_lab.binforms import (
     squarefree_decomposition,
     transvectant_first,
 )
-from torelli_lab.surfaces import discriminant, make_with_I2
+from torelli_lab.errors import TorelliLabError
+from torelli_lab.surfaces import (
+    discriminant,
+    make_random_general,
+    make_with_I2,
+    ramification_form,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -129,6 +137,59 @@ def test_backward_error_bound():
             r = p.affine()
             val = abs(f.eval_affine(r))
             assert val <= 1e-9 * scale * max(1.0, abs(r)) ** f.degree
+
+
+def _newton_refined(factor, roots, dps=50):
+    """Each root refined by Newton's method at ``dps`` digits on the exact
+    integer factor: the reference for the forward error."""
+    with mpmath.workdps(dps):
+        p = [mpmath.mpf(int(c)) for c in reversed(factor)]
+        dp = [k * c for k, c in zip(range(len(p) - 1, 0, -1), p)]
+        tol = mpmath.mpf(10) ** (5 - dps)
+        out = []
+        for r in roots:
+            z = mpmath.mpc(r.real, r.imag)
+            for _ in range(20):
+                step = mpmath.polyval(p, z) / mpmath.polyval(dp, z)
+                z -= step
+                if abs(step) <= tol * max(1, abs(z)):
+                    break
+            else:
+                raise AssertionError("reference Newton iteration did not converge")
+            out.append(complex(z))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("form_of", [
+    lambda: ramification_form(make_random_general(5, 0)),
+    lambda: ramification_form(make_random_general(8, 0)),
+    lambda: discriminant(make_random_general(8, 1)),
+], ids=["W-h5-seed0", "W-h8-seed0", "Delta-h8-seed1"])
+def test_roots_match_a_high_precision_reference(form_of):
+    worst = 0.0
+    for factor, _ in squarefree_decomposition(poly_strip(form_of().coeffs)):
+        roots = binforms._roots_dense([complex(c) for c in factor])
+        ref = _newton_refined(factor, roots)
+        worst = max(worst, float(np.max(np.abs(roots - ref) / np.abs(ref))))
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("corrupt", ["one-root-short", "nan-root", "shifted-root"])
+def test_root_finding_raises_on_a_bad_eigenvalue_set(monkeypatch, corrupt):
+    coeffs = [720.0, -1764.0, 1624.0, -735.0, 175.0, -21.0, 1.0]  # roots 1..6
+    assert np.allclose(np.sort(binforms._roots_dense(coeffs).real), range(1, 7))
+    companion_roots = np.roots
+
+    def bad_roots(p):
+        r = np.array(companion_roots(p), dtype=complex)
+        if corrupt == "one-root-short":
+            return r[:-1]
+        r[0] = complex("nan") if corrupt == "nan-root" else r[0] + 0.1
+        return r
+
+    monkeypatch.setattr(np, "roots", bad_roots)
+    with pytest.raises(TorelliLabError):
+        binforms._roots_dense(coeffs)
 
 
 # ---------------------------------------------------------------------------

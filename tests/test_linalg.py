@@ -10,6 +10,11 @@ def random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def eigpair_residuals(a, res):
+    """||A v - lambda v|| of every returned eigenpair."""
+    return np.linalg.norm(a @ res.vectors - res.vectors * res.values, axis=0)
+
+
 def test_construction_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_cmatrix(np.array([[1.0, np.nan]]))
@@ -49,10 +54,11 @@ def test_eig_examples():
     res = eig_general(np.diag([2.0, 5.0]))
     assert sorted(res.values.real) == pytest.approx([2.0, 5.0])
     assert not res.defective
-    jordan = eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    jordan = eig_general(a)
     assert np.allclose(jordan.values, 0.0)
     assert jordan.defective
-    assert np.all(jordan.residuals <= 1e-8)
+    assert np.all(eigpair_residuals(a, jordan) <= 1e-8)
 
 
 def test_eig_recovers_separated_spectra():
@@ -70,4 +76,4 @@ def test_eig_recovers_separated_spectra():
         want = sorted(lam, key=lambda z: (z.real, z.imag))
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-8 * scale
         norm = np.linalg.norm(a, 2)
-        assert np.all(res.residuals <= 1e-8 * max(norm, 1.0))
+        assert np.all(eigpair_residuals(a, res) <= 1e-8 * max(norm, 1.0))
