@@ -2,17 +2,20 @@
 
 A binary form of degree d is stored by its d+1 coefficients, index k holding
 the coefficient of Z0^(d-k) Z1^k, so the list read in ascending index order
-is also the affine polynomial in z = Z1/Z0.  Forms are exact: every
-coefficient is a ``fractions.Fraction``, and float or complex coefficients
-are rejected.  Forms still evaluate at complex points.
+is also the affine polynomial in z = Z1/Z0.  Forms are exact: each
+coefficient is stored in canonical form, an ``int`` when it is integral and
+a ``fractions.Fraction`` otherwise, so forms with integer coefficients
+multiply as Python ints.  Float or complex coefficients are rejected.  Forms
+still evaluate at complex points.
 
-Exact decisions (gcd, squarefreeness, multiplicity structure) are made in
-rational arithmetic via a primitive pseudo-remainder sequence, with a
-one-sided modular fast path: if the gcd of the reductions mod a large prime
-(not dividing the leading coefficients) is constant, the rational gcd is
-certainly constant.  Numerical roots are companion-matrix eigenvalues
-polished by one Newton step, and every root is checked against a
-backward-error bound.
+Exact decisions (gcd, squarefreeness, multiplicity structure) run on one
+integer kernel: the input is cleared of denominators and content once, and
+the gcd, Yun's decomposition and exact division work on primitive integer
+lists.  The gcd is a primitive pseudo-remainder sequence behind a one-sided
+modular fast path: if the gcd of the reductions mod a prime (not dividing
+the leading coefficients) is constant, the rational gcd is certainly
+constant.  Numerical roots are companion-matrix eigenvalues polished by one
+Newton step, and every root is checked against a backward-error bound.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ from .errors import TorelliLabError
 CLUSTER_TOL = 1e-7
 BACKWARD_ERROR_TOL = 1e-9
 
-# Large primes for the one-sided "gcd is constant" test.
-_GCD_PRIMES = (2**61 - 1, 2**31 - 1, 1000000007, 998244353)
+# Primes for the one-sided "gcd is constant" test, in the order tried: the
+# test uses the first that divides neither leading coefficient, and products
+# mod a prime below 2^31 stay small ints.
+_GCD_PRIMES = (2**31 - 1, 1000000007, 998244353, 2**61 - 1)
 
 
 class ZeroFormError(TorelliLabError):
@@ -41,7 +46,7 @@ class DivisorError(TorelliLabError):
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial layer (ascending coefficient lists of Fraction)
+# exact polynomial layer (ascending coefficient lists of int or Fraction)
 # ---------------------------------------------------------------------------
 
 def poly_strip(coeffs):
@@ -61,7 +66,7 @@ def poly_mul(a, b):
     a, b = poly_strip(a), poly_strip(b)
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -78,7 +83,6 @@ def poly_add(a, b):
 
 
 def poly_scale(a, c):
-    c = Fraction(c)
     return [c * x for x in a] if c else []
 
 
@@ -94,30 +98,24 @@ def poly_eval(a, z):
     return acc
 
 
-def poly_divmod(a, b):
-    """Exact quotient and remainder over the rationals."""
+def poly_divexact(a, b):
+    """Quotient of integer polynomials; ArithmeticError unless b divides a
+    over Z."""
     a, b = poly_strip(a), poly_strip(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lb = b[-1]
-    while a and len(a) >= len(b):
-        c = a[-1] / lb
-        k = len(a) - len(b)
+    r = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + len(b) - 1], b[-1])
+        if rem:
+            raise ArithmeticError("division was expected to be exact over Z")
         q[k] = c
         for j in range(len(b)):
-            a[k + j] -= c * b[j]
-        a = poly_strip(a)
-    return poly_strip(q), a
-
-
-def poly_divexact(a, b):
-    q, r = poly_divmod(a, b)
-    if r:
-        raise ArithmeticError("division was expected to be exact")
-    return q
+            r[k + j] -= c * b[j]
+    if any(r):
+        raise ArithmeticError("division was expected to be exact over Z")
+    return poly_strip(q)
 
 
 def _int_primitive(ints):
@@ -133,9 +131,8 @@ def _int_primitive(ints):
 
 def _to_int_primitive(coeffs):
     """Clear denominators and content; sign fixed so the leading entry > 0."""
-    a = [Fraction(c) for c in coeffs]
-    den = math.lcm(*(c.denominator for c in a))
-    return _int_primitive([int(c * den) for c in a])
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _int_primitive([c.numerator * (den // c.denominator) for c in coeffs])
 
 
 def _poly_mod_p(ints, p):
@@ -199,24 +196,20 @@ def _pseudo_rem(a, b):
 def poly_gcd(a, b):
     """Exact gcd over Q, returned as a primitive integer-coefficient list."""
     ai, bi = _to_int_primitive(a), _to_int_primitive(b)
-    if not ai:
-        return [Fraction(c) for c in bi] if bi else []
-    if not bi:
-        return [Fraction(c) for c in ai]
+    if not ai or not bi:
+        return ai or bi
     if len(ai) < len(bi):
         ai, bi = bi, ai
     while bi and len(bi) > 1:
         r = _pseudo_rem(ai, bi)
         ai, bi = bi, _int_primitive(r)
-    if bi:
-        return [Fraction(1)]
-    return [Fraction(c) for c in ai]
+    return [1] if bi else ai
 
 
 def _gcd_unless_constant(a, b):
-    """The gcd of two nonzero stripped polynomials as ``poly_gcd`` gives
-    it, or None when the modular fast path proves it constant."""
-    if _gcd_constant_fast(_to_int_primitive(a), _to_int_primitive(b)):
+    """The gcd of two nonzero stripped integer polynomials as ``poly_gcd``
+    gives it, or None when the modular fast path proves it constant."""
+    if _gcd_constant_fast(a, b):
         return None
     return poly_gcd(a, b)
 
@@ -228,7 +221,7 @@ def gcd_is_constant(a, b) -> bool:
         return False
     if len(a) == 1 or len(b) == 1:
         return True
-    g = _gcd_unless_constant(a, b)
+    g = _gcd_unless_constant(_to_int_primitive(a), _to_int_primitive(b))
     return g is None or poly_degree(g) == 0
 
 
@@ -247,9 +240,12 @@ def squarefree_decomposition(a):
     The factors are squarefree, pairwise coprime, and their m-th powers
     multiply to the input up to a rational constant.  The modular fast path
     recognises most squarefree inputs, so the PRS gcd of (a, a') runs only
-    when it is undecided, and then once: its result starts Yun's loop.
+    when it is undecided, and then once: its result starts Yun's loop.  The
+    input is made a primitive integer list first; every divisor Yun meets is
+    then primitive, so by Gauss's lemma each quotient is exact over Z and
+    each factor comes out primitive.
     """
-    a = poly_strip(a)
+    a = _to_int_primitive(a)
     if not a:
         raise ZeroFormError("squarefree decomposition of the zero polynomial")
     if len(a) == 1:
@@ -257,7 +253,7 @@ def squarefree_decomposition(a):
     da = poly_derivative(a)
     g = _gcd_unless_constant(a, da)
     if g is None or poly_degree(g) == 0:
-        return [([Fraction(c) for c in _to_int_primitive(a)], 1)]
+        return [(a, 1)]
     w = poly_divexact(a, g)
     y = poly_divexact(da, g)
     out = []
@@ -266,11 +262,11 @@ def squarefree_decomposition(a):
         z = poly_add(y, poly_scale(poly_derivative(w), -1))
         if not z:
             if poly_degree(w) > 0:
-                out.append(([Fraction(c) for c in _to_int_primitive(w)], k))
+                out.append((w, k))
             break
         p = poly_gcd(w, z)
         if poly_degree(p) > 0:
-            out.append(([Fraction(c) for c in p], k))
+            out.append((p, k))
             w = poly_divexact(w, p)
             y = poly_divexact(z, p)
         else:
@@ -423,12 +419,6 @@ class DivisorP1:
     def is_reduced(self) -> bool:
         return all(m == 1 for _, m in self.points)
 
-    def multiplicity_at(self, point: ProjectivePointP1) -> int:
-        for p, m in self.points:
-            if p.chordal(point) <= CLUSTER_TOL:
-                return m
-        return 0
-
 
 # ---------------------------------------------------------------------------
 # binary forms
@@ -436,7 +426,7 @@ class DivisorP1:
 
 class BinaryForm:
     """Homogeneous form of fixed degree in (Z0, Z1) with rational
-    coefficients."""
+    coefficients, each an int when integral and a Fraction otherwise."""
 
     __slots__ = ("degree", "coeffs")
 
@@ -453,7 +443,8 @@ class BinaryForm:
             raise TypeError("binary forms are exact; coefficients must be "
                             "int or Fraction")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            c.numerator if c.denominator == 1 else c for c in coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryForm is immutable")
@@ -462,7 +453,7 @@ class BinaryForm:
 
     @classmethod
     def zero(cls, degree: int) -> "BinaryForm":
-        return cls(degree, [Fraction(0)] * (degree + 1))
+        return cls(degree, [0] * (degree + 1))
 
     @classmethod
     def constant(cls, value, degree: int) -> "BinaryForm":
@@ -527,12 +518,8 @@ class BinaryForm:
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            out = [0] * (self.degree + other.degree + 1)
-            for i, x in enumerate(self.coeffs):
-                if x:
-                    for j, y in enumerate(other.coeffs):
-                        out[i + j] += x * y
-            return BinaryForm(self.degree + other.degree, out)
+            return BinaryForm.from_affine(poly_mul(self.coeffs, other.coeffs),
+                                          self.degree + other.degree)
         return self.__rmul__(other)
 
     def __pow__(self, n: int) -> "BinaryForm":
@@ -560,29 +547,13 @@ class BinaryForm:
     def eval_pair(self, z0, z1):
         """Value at representative coordinates; exact for rational input."""
         d = self.degree
-        if isinstance(z0, (int, Fraction)) and isinstance(z1, (int, Fraction)):
-            z0, z1 = Fraction(z0), Fraction(z1)
-            one = Fraction(1)
-        else:
-            z0, z1 = complex(z0), complex(z1)
-            one = 1.0 + 0.0j
-        pow0 = [one]
-        pow1 = [one]
+        pow0 = [1]
+        pow1 = [1]
         for _ in range(d):
             pow0.append(pow0[-1] * z0)
             pow1.append(pow1[-1] * z1)
-        acc = one * 0
-        for k in range(d + 1):
-            c = self.coeffs[k]
-            if c:
-                acc += c * pow0[d - k] * pow1[k]
-        return acc
-
-    def eval_point(self, p: ProjectivePointP1) -> complex:
-        return complex(self.eval_pair(p.z0, p.z1))
-
-    def eval_affine(self, z):
-        return self.eval_pair(1, z)
+        return sum(c * pow0[d - k] * pow1[k]
+                   for k, c in enumerate(self.coeffs) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -600,22 +571,6 @@ def transvectant_first(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if f.degree < 1 or g.degree < 1:
         raise ValueError("transvectant needs forms of degree at least 1")
     return f.derivative_z0() * g.derivative_z1() - f.derivative_z1() * g.derivative_z0()
-
-
-def affine_transvectant(f: BinaryForm, g: BinaryForm):
-    """The classical weighted combination m' f g' - n' g f' on the chart Z0=1.
-
-    Returned as an affine coefficient list; used to cross-check the
-    homogeneous Jacobian determinant.
-    """
-    if f.degree < 1 or g.degree < 1:
-        raise ValueError("transvectant needs forms of degree at least 1")
-    h = math.gcd(f.degree, g.degree)
-    mp, np_ = f.degree // h, g.degree // h
-    fa, ga = list(f.coeffs), list(g.coeffs)
-    term1 = poly_scale(poly_mul(fa, poly_derivative(ga)), mp)
-    term2 = poly_scale(poly_mul(ga, poly_derivative(fa)), np_)
-    return poly_add(term1, poly_scale(term2, -1))
 
 
 def roots_projective(f: BinaryForm) -> DivisorP1:

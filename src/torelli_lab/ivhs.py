@@ -257,12 +257,6 @@ def truth_to_json_dict(t: GroundTruth) -> dict:
     }
 
 
-def save_presentation(p: IVHSPresentation, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(presentation_to_json_dict(p), fh, indent=2)
-        fh.write("\n")
-
-
 def load_presentation(path) -> IVHSPresentation:
     with open(path, "r", encoding="utf-8") as fh:
         return presentation_from_json_dict(json.load(fh))

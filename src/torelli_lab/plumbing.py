@@ -175,13 +175,6 @@ def check_closed_forms(b: JetCoefficients) -> ClosedFormCheck:
     return _compare_closed_forms(b, *residue_pair(b))
 
 
-def leading_coefficient(b: JetCoefficients) -> Fraction:
-    """Coefficient of q^{-2} in eta; the leading law says it equals
-    -b[0,0]/4, i.e. one quarter of the 2-form's value at the point."""
-    _, eta = residue_pair(b)
-    return eta.coefficient(-2, 0)
-
-
 def residue_coefficient(b: JetCoefficients) -> Fraction:
     """Coefficient of q^{-1} in eta: (b[0,1] - b[1,0]) / 4.  Its vanishing
     is the local criterion for eta to define a cohomology class."""

@@ -30,14 +30,12 @@ from . import linalg
 from .errors import TorelliLabError, UsageError
 from .ivhs import (
     IVHSPresentation,
-    canonical_point,
     normalize_phase,
     normalize_phase_rows,
     synthesize,
 )
 from .linalg import EigenConvergenceError
-from .ramification import ramification_divisor
-from .surfaces import WeierstrassSurface, invariants
+from .surfaces import WeierstrassSurface, degree_gate_ok, invariants
 
 EXTRACTION_RETRIES = 10
 EIG_GAP_MIN = 1e-6
@@ -397,6 +395,14 @@ def roundtrip(s: WeierstrassSurface, seed: int,
             h=inv.h, N=inv.N, basis=basis, gram=presentation.gram)
     factors = run("extract", lambda: extract_rank_ones(
         presentation, seed, config))
+    # N = 10h + 8(1 - q) read backwards from the recovered points
+    n = len(factors)
+    q, rem = divmod(10 * presentation.h + 8 - n, 8)
+    if rem or q < 0 or not degree_gate_ok(presentation.h, q):
+        raise StageError(
+            "recover", f"recover: {n} recovered points fit no admissible "
+            f"(h, q) with h = {presentation.h}")
+    recovered_dl = presentation.h + 1 - q
     geometry = run("recover", lambda: recover_geometry(
         factors, inv.h, config))
     truth_x = np.vstack([ep.x for ep in truth.points])
@@ -410,7 +416,6 @@ def roundtrip(s: WeierstrassSurface, seed: int,
     samples = _curve_samples(inv.h, CURVE_SAMPLES, rng)
     residual = _max_quadric_value(samples, geometry.quadric_basis)
 
-    recovered_dl = (inv.h - 1) - (2 * s.q - 2)
     return RoundTripReport(
         h=inv.h,
         N=inv.N,
@@ -427,9 +432,3 @@ def roundtrip(s: WeierstrassSurface, seed: int,
         stage_timings_ms=timings,
     )
 
-
-def true_canonical_points(s: WeierstrassSurface) -> np.ndarray:
-    """Exact-path canonical images of the true ramification points."""
-    inv = invariants(s)
-    ram = ramification_divisor(s)
-    return np.vstack([canonical_point(p, inv.h).x for p, _ in ram.divisor])

@@ -245,7 +245,7 @@ def classify_fibers(s: WeierstrassSurface) -> FiberReport:
             exact_total += mult * poly_degree(factor)
             shared = binforms.poly_gcd(factor, g4_aff)
             if poly_degree(shared) > 0:
-                additive_part = [Fraction(c) for c in shared]
+                additive_part = shared
                 inert_part = binforms.poly_divexact(factor, additive_part)
             else:
                 additive_part = []

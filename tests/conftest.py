@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from torelli_lab.binforms import BinaryForm
+from torelli_lab.binforms import CLUSTER_TOL, BinaryForm, DivisorP1, ProjectivePointP1
 from torelli_lab.ivhs import IVHSPresentation
+from torelli_lab.plumbing import JetCoefficients, residue_pair
 
 
 def random_exact_form(rng: random.Random, degree: int, bound: int = 9) -> BinaryForm:
@@ -12,6 +13,22 @@ def random_exact_form(rng: random.Random, degree: int, bound: int = 9) -> Binary
     while coeffs[-1] == 0:
         coeffs[-1] = rng.randint(-bound, bound)
     return BinaryForm(degree, coeffs)
+
+
+def multiplicity_at(divisor: DivisorP1, point: ProjectivePointP1) -> int:
+    """Multiplicity of ``point`` in ``divisor``, matched at the clustering
+    scale; 0 when the point is not in its support."""
+    for p, m in divisor:
+        if p.chordal(point) <= CLUSTER_TOL:
+            return m
+    return 0
+
+
+def leading_coefficient(b: JetCoefficients):
+    """Coefficient of q^{-2} in eta; the leading law says it equals
+    -b[0,0]/4, i.e. one quarter of the 2-form's value at the point."""
+    _, eta = residue_pair(b)
+    return eta.coefficient(-2, 0)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from conftest import leading_coefficient
 from torelli_lab.binforms import (
     BinaryForm,
     poly_derivative,
@@ -22,7 +23,6 @@ from torelli_lab.ivhs import IVHSPresentation, synthesize
 from torelli_lab.plumbing import (
     check_closed_forms,
     check_eta_proportionality,
-    leading_coefficient,
     random_jet_coefficients,
     residue_coefficient,
 )

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import random_exact_form
+from conftest import multiplicity_at, random_exact_form
 from torelli_lab import binforms
 from torelli_lab.binforms import (
     BinaryForm,
     ProjectivePointP1,
     ZeroFormError,
-    affine_transvectant,
     form_is_squarefree,
     forms_coprime,
     poly_add,
@@ -42,17 +41,37 @@ from torelli_lab.surfaces import (
 SQRT2 = math.sqrt(2.0)
 
 
+def eval_point(f: BinaryForm, p: ProjectivePointP1) -> complex:
+    return complex(f.eval_pair(p.z0, p.z1))
+
+
+def affine_transvectant(f: BinaryForm, g: BinaryForm):
+    """The classical weighted combination m' f g' - n' g f' on the chart Z0=1.
+
+    Returned as an affine coefficient list; used to cross-check the
+    homogeneous Jacobian determinant.
+    """
+    if f.degree < 1 or g.degree < 1:
+        raise ValueError("transvectant needs forms of degree at least 1")
+    h = math.gcd(f.degree, g.degree)
+    mp, np_ = f.degree // h, g.degree // h
+    fa, ga = list(f.coeffs), list(g.coeffs)
+    term1 = poly_scale(poly_mul(fa, poly_derivative(ga)), mp)
+    term2 = poly_scale(poly_mul(ga, poly_derivative(fa)), np_)
+    return poly_add(term1, poly_scale(term2, -1))
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
 def test_eval_examples():
     f = BinaryForm(2, [0, 1, 0])                       # Z0 Z1
-    assert f.eval_point(ProjectivePointP1(1, 0)) == 0
+    assert eval_point(f, ProjectivePointP1(1, 0)) == 0
     g = BinaryForm(2, [1, 0, 1])                       # Z0^2 + Z1^2
     p = ProjectivePointP1(1 / SQRT2, 1 / SQRT2)
-    assert abs(g.eval_point(p) - 1.0) < 1e-14
-    assert BinaryForm.zero(5).eval_point(p) == 0
+    assert abs(eval_point(g, p) - 1.0) < 1e-14
+    assert eval_point(BinaryForm.zero(5), p) == 0
 
 
 def test_exact_evaluation_is_exact():
@@ -70,6 +89,44 @@ def test_float_and_complex_coefficients_are_rejected(bad):
         bad * f
     with pytest.raises(TypeError):
         f * bad
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel
+# ---------------------------------------------------------------------------
+
+def _all_int(coeffs):
+    return all(type(c) is int for c in coeffs)
+
+
+def test_sampled_surface_is_integer_throughout():
+    s = make_random_general(5, 0)
+    delta, w = discriminant(s), ramification_form(s)
+    for form in (s.g4, s.g6, delta, w):
+        assert _all_int(form.coeffs)
+    for form in (delta, w):
+        aff = poly_strip(form.coeffs)
+        factors = squarefree_decomposition(aff)
+        assert factors and all(_all_int(f) for f, _ in factors)
+        assert _all_int(poly_gcd(aff, poly_derivative(aff)))
+    assert _all_int(poly_gcd(poly_strip(delta.coeffs), poly_strip(w.coeffs)))
+
+
+def test_coefficients_are_int_exactly_when_integral():
+    assert type(BinaryForm(1, [Fraction(4, 2), 1]).coeffs[0]) is int
+    s = make_with_I2(4, [Fraction(1, 2), -3], seed=0)
+    coeffs = s.g4.coeffs + s.g6.coeffs + discriminant(s).coeffs
+    assert any(type(c) is Fraction for c in coeffs)
+    for c in coeffs:
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+# the last pair divides over Q but not over Z
+@pytest.mark.parametrize("a, b", [([1, 0, 1], [1, 2]), ([1, 3], [0, 2]),
+                                  ([1, 2], [2, 4])])
+def test_exact_division_over_z_rejects_a_remainder(a, b):
+    with pytest.raises(ArithmeticError):
+        poly_divexact(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +152,9 @@ def test_roots_with_point_at_infinity():
     # affine z^2 - 1 embedded in degree 3: roots at +-1 and infinity
     div = roots_projective(BinaryForm(3, [-1, 0, 1, 0]))
     assert div.degree == 3
-    assert div.multiplicity_at(ProjectivePointP1.infinity()) == 1
-    assert div.multiplicity_at(ProjectivePointP1.from_affine(1)) == 1
-    assert div.multiplicity_at(ProjectivePointP1.from_affine(-1)) == 1
+    assert multiplicity_at(div, ProjectivePointP1.infinity()) == 1
+    assert multiplicity_at(div, ProjectivePointP1.from_affine(1)) == 1
+    assert multiplicity_at(div, ProjectivePointP1.from_affine(-1)) == 1
 
 
 def test_zero_form_has_no_divisor():
@@ -120,8 +177,8 @@ def test_multiplicities_from_exact_decomposition():
     # (z - 1)^2 (z + 2), degree 3
     f = BinaryForm(3, [2, -3, 0, 1])
     div = roots_projective(f)
-    assert div.multiplicity_at(ProjectivePointP1.from_affine(1)) == 2
-    assert div.multiplicity_at(ProjectivePointP1.from_affine(-2)) == 1
+    assert multiplicity_at(div, ProjectivePointP1.from_affine(1)) == 2
+    assert multiplicity_at(div, ProjectivePointP1.from_affine(-2)) == 1
 
 
 def test_backward_error_bound():
@@ -135,7 +192,7 @@ def test_backward_error_bound():
             if mult != 1 or p.is_infinity:
                 continue
             r = p.affine()
-            val = abs(f.eval_affine(r))
+            val = abs(f.eval_pair(1, r))
             assert val <= 1e-9 * scale * max(1.0, abs(r)) ** f.degree
 
 
@@ -331,6 +388,25 @@ def test_squarefree_input_is_decomposed_without_a_prs_gcd(monkeypatch):
         assert squarefree_decomposition(a) == [(prim, 1)]
 
 
+def _divexact_over_q(a, b):
+    """Quotient over the rationals of a polynomial b divides, by long
+    division in ``Fraction`` arithmetic: the rational reference Yun below
+    divides with."""
+    a = [Fraction(c) for c in poly_strip(a)]
+    b = [Fraction(c) for c in poly_strip(b)]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while a and len(a) >= len(b):
+        c = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = c
+        for j in range(len(b)):
+            a[k + j] -= c * b[j]
+        a = poly_strip(a)
+    if a:
+        raise ArithmeticError("division was expected to be exact")
+    return poly_strip(q)
+
+
 def _squarefree_decomposition_before_shared_gcd(a):
     """Yun behind a separate squarefree test, which computes the gcd of
     (a, a') a second time on an input with a repeated factor: the reference
@@ -341,8 +417,8 @@ def _squarefree_decomposition_before_shared_gcd(a):
         return [([Fraction(c) for c in binforms._to_int_primitive(a)], 1)]
     da = poly_derivative(a)
     g = binforms.poly_gcd(a, da)
-    w = poly_divexact(a, g)
-    y = poly_divexact(da, g)
+    w = _divexact_over_q(a, g)
+    y = _divexact_over_q(da, g)
     out = []
     k = 1
     while True:
@@ -354,8 +430,8 @@ def _squarefree_decomposition_before_shared_gcd(a):
         p = binforms.poly_gcd(w, z)
         if poly_degree(p) > 0:
             out.append(([Fraction(c) for c in p], k))
-            w = poly_divexact(w, p)
-            y = poly_divexact(z, p)
+            w = _divexact_over_q(w, p)
+            y = _divexact_over_q(z, p)
         else:
             y = z
         k += 1

@@ -18,11 +18,16 @@ from torelli_lab.ivhs import (
     load_presentation,
     presentation_from_json_dict,
     presentation_to_json_dict,
-    save_presentation,
     synthesize,
     truth_to_json_dict,
 )
 from torelli_lab.surfaces import make_random_general, make_with_I2
+
+
+def save_presentation(p: IVHSPresentation, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(presentation_to_json_dict(p), fh, indent=2)
+        fh.write("\n")
 
 
 def test_canonical_point_examples():

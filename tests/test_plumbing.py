@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import leading_coefficient
 from torelli_lab.errors import UsageError
 from torelli_lab.jets import JetSeries
 from torelli_lab.plumbing import (
@@ -13,7 +14,6 @@ from torelli_lab.plumbing import (
     JetOrderError,
     check_closed_forms,
     check_eta_proportionality,
-    leading_coefficient,
     random_jet_coefficients,
     residue_coefficient,
     residue_pair,

@@ -7,7 +7,12 @@ import pytest
 
 from torelli_lab import linalg, recovery
 from torelli_lab.errors import UsageError
-from torelli_lab.ivhs import IVHSPresentation, normalize_phase, synthesize
+from torelli_lab.ivhs import (
+    IVHSPresentation,
+    canonical_point,
+    normalize_phase,
+    synthesize,
+)
 from torelli_lab.linalg import nullspace
 from torelli_lab.recovery import (
     CONTRACTION_COND_MAX,
@@ -24,10 +29,17 @@ from torelli_lab.recovery import (
     rank_one_oracle_bruteforce,
     recover_geometry,
     roundtrip,
-    true_canonical_points,
     _veronese2,
 )
-from torelli_lab.surfaces import make_random_general
+from torelli_lab.ramification import ramification_divisor
+from torelli_lab.surfaces import invariants, make_random_general
+
+
+def true_canonical_points(s) -> np.ndarray:
+    """Exact-path canonical images of the true ramification points."""
+    inv = invariants(s)
+    ram = ramification_divisor(s)
+    return np.vstack([canonical_point(p, inv.h).x for p, _ in ram.divisor])
 
 
 def random_presentation(rng, h, n):
@@ -255,6 +267,17 @@ def test_roundtrip_corrupt_span_fails_at_extraction():
     with pytest.raises(StageError) as err:
         roundtrip(s, seed=5, corrupt_span=True)
     assert err.value.stage == "extract"
+
+
+def test_roundtrip_dropped_factor_fits_no_admissible_genus(monkeypatch):
+    s = make_random_general(3, seed=1)
+    extract = recovery.extract_rank_ones
+    monkeypatch.setattr(recovery, "extract_rank_ones",
+                        lambda *args: extract(*args)[:-1])
+    with pytest.raises(StageError) as err:
+        roundtrip(s, seed=1)
+    assert err.value.stage == "recover"
+    assert "37 recovered points fit no admissible (h, q)" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ No ``assert`` statements: they vanish under ``python -O``, so a check that
 matters raises a ``TorelliLabError`` subclass.  No environment reads: every
 setting arrives through a function argument or a command-line flag.  Every
 name the benchmark's tracer rebinds and every exported name exists, so a
-deletion cannot break ``perfbench`` or ``from torelli_lab import *``.
+deletion cannot break ``perfbench`` or ``from torelli_lab import *``.  No
+true division in the exact layer of ``binforms``: its coefficients are ints
+wherever they are integral, and ``int / int`` is a float.
 """
 
 import ast
@@ -17,6 +19,12 @@ import torelli_lab
 SOURCES = sorted(Path(torelli_lab.__file__).parent.glob("*.py"))
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+BINFORMS = Path(torelli_lab.__file__).parent / "binforms.py"
+# with every ``poly_*`` function, the exact layer of binforms
+EXACT_LAYER = {"_int_primitive", "_to_int_primitive", "_poly_mod_p",
+               "_gf_gcd_degree", "_gcd_constant_fast", "_pseudo_rem",
+               "_gcd_unless_constant", "gcd_is_constant",
+               "squarefree_decomposition", "BinaryForm"}
 
 
 def _violations(path):
@@ -35,6 +43,20 @@ def _violations(path):
 def test_no_asserts_and_no_environment_reads():
     assert len(SOURCES) > 1
     found = [v for path in SOURCES for v in _violations(path)]
+    assert found == []
+
+
+def test_no_true_division_in_the_exact_layer():
+    tree = ast.parse(BINFORMS.read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert EXACT_LAYER <= defs.keys()
+    layer = [node for name, node in defs.items()
+             if name.startswith("poly_") or name in EXACT_LAYER]
+    found = [f"binforms.py:{node.lineno}: true division in {top.name}"
+             for top in layer for node in ast.walk(top)
+             if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.Div)]
     assert found == []
 
 
