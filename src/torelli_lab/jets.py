@@ -27,7 +27,9 @@ class WindowUnderflowError(WindowError):
 
 
 def _rat(value) -> Fraction:
-    if isinstance(value, float) or isinstance(value, complex):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (float, complex)):
         raise TypeError("JetSeries arithmetic is exact; floats are not allowed")
     return Fraction(value)
 
@@ -88,6 +90,26 @@ class JetSeries:
                  high_cut: int = DEFAULT_HIGH_CUT) -> "JetSeries":
         """The single term ``(c0 + t*c1) * q**exponent``."""
         return cls({exponent: (c0, c1)}, low_cut, high_cut)
+
+    @classmethod
+    def linear_combination(cls, parts, low_cut: int, high_cut: int
+                           ) -> "JetSeries":
+        """``sum coeff * q**k * series`` over ``(coeff, k, series)`` parts,
+        accumulated in one pass.
+
+        Equal to adding up ``series.shift(k).scale(coeff)`` for series on
+        the window ``[low_cut, high_cut]``: shifted exponents outside the
+        window are dropped as :meth:`shift` drops them, and terms that
+        cancel are not stored.
+        """
+        acc = {}
+        for coeff, k, series in parts:
+            for e, (c0, c1) in series._terms.items():
+                e += k
+                if low_cut <= e <= high_cut:
+                    a0, a1 = acc.get(e, (0, 0))
+                    acc[e] = (a0 + coeff * c0, a1 + coeff * c1)
+        return cls(acc, low_cut, high_cut)
 
     # ---- inspection ----------------------------------------------------
 

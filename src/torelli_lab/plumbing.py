@@ -18,10 +18,16 @@ arithmetic and compares it, coefficient for coefficient, against the closed
 forms, the q^{-2} leading law (eta's leading coefficient is -b[0,0]/4), the
 q^{-1} residue law ((b[0,1] - b[1,0])/4), and the proportionality of the
 eta series across proportional jet data.
+
+The factors that do not depend on the jet, the prefactor and the powers
+v^(n-1), are built once per exponent window and shared.  Each jet's chain
+sums its terms in one pass and takes one product with the prefactor; every
+identity is checked on chains of its own, never derived from another chain.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,14 +96,33 @@ def _window_for(max_order: int):
     return DEFAULT_LOW_CUT, high
 
 
+@functools.cache
+def _chain_factors(low: int, high: int, max_order: int):
+    """The jet-independent factors of the chain on the window [low, high]:
+    the prefactor -1/2 (q + v) and the tuple of v^(n-1) for n = 0..max_order.
+
+    v = q*(1 - t q^{-2})^{1/2} comes from the branch substitution, v^(n-1)
+    by repeated exact multiplication (and the unit inverse at n = 0).
+    JetSeries is immutable, so every chain on this window shares them.
+    """
+    q = JetSeries.monomial(1, c0=1, low_cut=low, high_cut=high)
+    u = JetSeries.monomial(-2, c1=1, low_cut=low, high_cut=high)
+    v = q.mul(u.sqrt_one_minus())
+    prefactor = (q + v).scale(Fraction(-1, 2))
+    v_pows = [v.invert_unit(), JetSeries.one(low, high)]
+    while len(v_pows) <= max_order:
+        v_pows.append(v_pows[-1].mul(v))
+    return prefactor, tuple(v_pows)
+
+
 def residue_pair(b: JetCoefficients, low_cut=None, high_cut=None):
     """(omega, eta): the t^0 and t^1 parts of the residue chain.
 
-    The chain is computed structurally: the branch substitution
-    v = q*(1 - t q^{-2})^{1/2} with v^{n-1} by repeated exact multiplication
-    (and the unit inverse at n = 0), then the prefactor -1/2 (q + v).  No
-    use is made of the closed forms, so comparing against them is a
-    two-sided check.
+    The chain is computed structurally: sum b[m,n] q^m v^(n-1) is
+    accumulated in one pass over the factors v^(n-1) of the branch
+    substitution, then multiplied by the prefactor -1/2 (q + v).  No use
+    is made of the closed forms, so comparing against them is a two-sided
+    check.
     """
     low0, high0 = _window_for(b.max_order)
     low = low0 if low_cut is None else int(low_cut)
@@ -108,21 +133,9 @@ def residue_pair(b: JetCoefficients, low_cut=None, high_cut=None):
             f"window [{low}, {high}] cannot hold the residue chain for jets "
             f"of order {b.max_order}")
 
-    q = JetSeries.monomial(1, c0=1, low_cut=low, high_cut=high)
-    u = JetSeries.monomial(-2, c1=1, low_cut=low, high_cut=high)
-    v = q.mul(u.sqrt_one_minus())
-    prefactor = (q + v).scale(Fraction(-1, 2))
-
-    # v^(n-1) for every n appearing in the support
-    max_n = max((n for (_, n) in b.b), default=0)
-    v_pows = {0: v.invert_unit(), 1: JetSeries.one(low, high)}
-    for k in range(2, max_n + 1):
-        v_pows[k] = v_pows[k - 1].mul(v)
-
-    total = JetSeries.zero(low, high)
-    for (m, n), coeff in b.items():
-        term = v_pows[n].shift(m).scale(coeff)
-        total = total + term
+    prefactor, v_pows = _chain_factors(low, high, b.max_order)
+    total = JetSeries.linear_combination(
+        ((coeff, m, v_pows[n]) for (m, n), coeff in b.b.items()), low, high)
     result = prefactor.mul(total)
     return result.t_component(0), result.t_component(1)
 
@@ -175,13 +188,6 @@ def check_closed_forms(b: JetCoefficients) -> ClosedFormCheck:
     return _compare_closed_forms(b, *residue_pair(b))
 
 
-def residue_coefficient(b: JetCoefficients) -> Fraction:
-    """Coefficient of q^{-1} in eta: (b[0,1] - b[1,0]) / 4.  Its vanishing
-    is the local criterion for eta to define a cohomology class."""
-    _, eta = residue_pair(b)
-    return eta.coefficient(-1, 0)
-
-
 @dataclass(frozen=True)
 class ProportionalityCheck:
     ok: bool
@@ -193,7 +199,7 @@ class ProportionalityCheck:
 
 
 def check_eta_proportionality(b_list) -> ProportionalityCheck:
-    """For jет data that are scalar multiples of a common set, the eta
+    """For jet data that are scalar multiples of a common set, the eta
     series must satisfy the cross-proportionality
 
         omega_i(a) * eta_j == omega_j(a) * eta_i   (exactly),

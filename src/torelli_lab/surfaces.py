@@ -323,6 +323,16 @@ def genericity(s: WeierstrassSurface) -> GeneralityReport:
     Delta with g4(p) = 0 also g6(p) = 0, so ord_p Delta >= 2; the point at
     infinity behaves the same.  Raises ``DegenerateSurfaceError`` when Delta
     vanishes identically.
+
+    Clause (a) implies clause (c), so W and Delta are tested for a common
+    root only when Delta is not squarefree.  By Euler's identity, for
+    {i, j} = {0, 1},
+
+        g4 d_i(Delta) - 3 d_i(g4) Delta = +-(27 / 2dL) g6 Z_j W.
+
+    At a common zero of W and Delta this leaves g4 d_i(Delta) = 0 for both
+    i: either the gradient of Delta vanishes there, or g4 = 0 and then
+    g6 = 0 too.  Either way Delta has a multiple root there.
     """
     return _stored(s, "_report", lambda: _decide_genericity(s))
 
@@ -344,7 +354,7 @@ def _decide_genericity(s: WeierstrassSurface) -> GeneralityReport:
     reduced = form_is_squarefree(w)
     if not reduced:
         failed.append("b")
-    disjoint = forms_coprime(w, delta)
+    disjoint = all_i1 or forms_coprime(w, delta)
     warnings = ()
     if not disjoint:
         failed.append("c")

@@ -31,6 +31,13 @@ def leading_coefficient(b: JetCoefficients):
     return eta.coefficient(-2, 0)
 
 
+def residue_coefficient(b: JetCoefficients):
+    """Coefficient of q^{-1} in eta: (b[0,1] - b[1,0]) / 4.  Its vanishing
+    is the local criterion for eta to define a cohomology class."""
+    _, eta = residue_pair(b)
+    return eta.coefficient(-1, 0)
+
+
 @pytest.fixture
 def tiny_built_presentation():
     """h=2, N=3 span of e1 (x) f1, e2 (x) f2, (e1+e2)/sqrt2 (x) f3."""

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import leading_coefficient
+from conftest import leading_coefficient, residue_coefficient
 from torelli_lab.binforms import (
     BinaryForm,
     poly_derivative,
@@ -24,7 +24,6 @@ from torelli_lab.plumbing import (
     check_closed_forms,
     check_eta_proportionality,
     random_jet_coefficients,
-    residue_coefficient,
 )
 from torelli_lab.recovery import (
     DegeneratePresentationError,

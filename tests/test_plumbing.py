@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import leading_coefficient
+from conftest import leading_coefficient, residue_coefficient
+from torelli_lab import plumbing
 from torelli_lab.errors import UsageError
-from torelli_lab.jets import JetSeries
+from torelli_lab.jets import DEFAULT_HIGH_CUT, DEFAULT_LOW_CUT, JetSeries, WindowError
 from torelli_lab.plumbing import (
     MAX_ORDER_DEFAULT,
     JetCoefficients,
@@ -15,7 +16,6 @@ from torelli_lab.plumbing import (
     check_closed_forms,
     check_eta_proportionality,
     random_jet_coefficients,
-    residue_coefficient,
     residue_pair,
     verification_report,
 )
@@ -157,10 +157,122 @@ def test_higher_order_window_scales():
 
 
 def test_too_small_window_is_an_error():
-    from torelli_lab.jets import WindowError
-
     b = JetCoefficients({(0, 0): 1, (3, 3): 2})
     with pytest.raises(WindowError):
         residue_pair(b, high_cut=4)
     with pytest.raises(WindowError):
         residue_pair(b, low_cut=-2)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass chain against the chain built term by term
+# ---------------------------------------------------------------------------
+
+def _residue_pair_term_by_term(b: JetCoefficients, low_cut=None, high_cut=None):
+    """The chain as first written: every factor rebuilt for each jet, and
+    the sum taken through shift, scale and + one term at a time."""
+    low = DEFAULT_LOW_CUT if low_cut is None else low_cut
+    high = (max(DEFAULT_HIGH_CUT, b.max_order + 6) if high_cut is None
+            else high_cut)
+    if low > -4 or high < b.max_order + 2:
+        raise WindowError("window too small")
+    q = JetSeries.monomial(1, c0=1, low_cut=low, high_cut=high)
+    u = JetSeries.monomial(-2, c1=1, low_cut=low, high_cut=high)
+    v = q.mul(u.sqrt_one_minus())
+    prefactor = (q + v).scale(Fraction(-1, 2))
+    max_n = max((n for (_, n) in b.b), default=0)
+    v_pows = {0: v.invert_unit(), 1: JetSeries.one(low, high)}
+    for k in range(2, max_n + 1):
+        v_pows[k] = v_pows[k - 1].mul(v)
+    total = JetSeries.zero(low, high)
+    for (m, n), coeff in b.items():
+        total = total + v_pows[n].shift(m).scale(coeff)
+    result = prefactor.mul(total)
+    return result.t_component(0), result.t_component(1)
+
+
+def _oracle_jets(max_order, seed):
+    rng = random.Random(seed)
+    jets = [JetCoefficients({}, max_order)]
+    jets += [JetCoefficients({(m, n): 1}, max_order)
+             for m in range(min(6, max_order) + 1)
+             for n in range(min(6, max_order) + 1 - m)]
+    for k in range(24):
+        b = random_jet_coefficients(rng, max_order)
+        if k % 2:
+            b = b.scale(Fraction(rng.choice((-1, 1)) * rng.randint(1, 7),
+                                 rng.randint(1, 9)))
+        jets.append(b)
+    return jets
+
+
+@pytest.mark.parametrize("max_order", [3, 6, 8])
+@pytest.mark.parametrize("window", ["default", "smallest", (-6, 9)],
+                         ids=["default", "smallest", "-6_9"])
+def test_one_pass_chain_equals_the_term_by_term_chain(max_order, window):
+    cuts = {"default": (None, None),
+            "smallest": (-4, max_order + 2)}.get(window, window)
+    for b in _oracle_jets(max_order, seed=max_order):
+        try:
+            expected = _residue_pair_term_by_term(b, *cuts)
+        except WindowError:
+            with pytest.raises(WindowError):
+                residue_pair(b, *cuts)
+            continue
+        assert residue_pair(b, *cuts) == expected
+
+
+def test_oracle_jets_cover_every_monomial_and_window():
+    jets = _oracle_jets(6, seed=0)
+    assert jets[0].b == {}
+    assert sum(len(b.b) == 1 for b in jets) == 28
+    assert sum(len(b.b) > 1 for b in jets) == 24
+    # (-6, 9) is too small for order 8, so that case checks the error
+    with pytest.raises(WindowError):
+        residue_pair(random_jet_coefficients(random.Random(0), 8), -6, 9)
+
+
+@pytest.fixture
+def fresh_chain_factors():
+    plumbing._chain_factors.cache_clear()
+    yield
+    plumbing._chain_factors.cache_clear()
+
+
+def test_report_fails_on_a_closed_form_off_by_a_quarter(monkeypatch):
+    true_closed_form_pair = plumbing.closed_form_pair
+
+    def off_by_a_quarter(b, low_cut=None, high_cut=None):
+        omega, eta = true_closed_form_pair(b, low_cut, high_cut)
+        return omega, eta + JetSeries({1: Fraction(1, 4)}, eta.low_cut,
+                                      eta.high_cut)
+
+    monkeypatch.setattr(plumbing, "closed_form_pair", off_by_a_quarter)
+    report = verification_report(trials=2, seed=0)
+    assert report["status"] == "failed"
+    assert report["identities"]["closed_forms"]["failures"] == 2
+
+
+def test_report_fails_on_a_wrong_square_root(monkeypatch, fresh_chain_factors):
+    def one_minus_u(self):
+        # the series of 1 - u, not of its square root 1 - u/2
+        return JetSeries.one(self.low_cut, self.high_cut) - self
+
+    monkeypatch.setattr(JetSeries, "sqrt_one_minus", one_minus_u)
+    report = verification_report(trials=2, seed=0)
+    assert report["status"] == "failed"
+    assert report["identities"]["closed_forms"]["failures"] == 2
+
+
+def test_chains_share_and_keep_the_window_factors(fresh_chain_factors):
+    rng = random.Random(29)
+    b = random_jet_coefficients(rng)
+    first = residue_pair(b)
+    cuts = plumbing._window_for(b.max_order)
+    factors = plumbing._chain_factors(*cuts, b.max_order)
+    before = [series.terms() for series in (factors[0], *factors[1])]
+    assert residue_pair(b) == first
+    assert residue_pair(b.scale(3)) == tuple(s.scale(3) for s in first)
+    assert plumbing._chain_factors(*cuts, b.max_order) is factors
+    assert [series.terms() for series in (factors[0], *factors[1])] == before
+    assert plumbing._chain_factors.cache_info().misses == 1

@@ -6,7 +6,8 @@ setting arrives through a function argument or a command-line flag.  Every
 name the benchmark's tracer rebinds and every exported name exists, so a
 deletion cannot break ``perfbench`` or ``from torelli_lab import *``.  No
 true division in the exact layer of ``binforms``: its coefficients are ints
-wherever they are integral, and ``int / int`` is a float.
+wherever they are integral, and ``int / int`` is a float.  Every source file
+is ASCII.
 """
 
 import ast
@@ -43,6 +44,15 @@ def _violations(path):
 def test_no_asserts_and_no_environment_reads():
     assert len(SOURCES) > 1
     found = [v for path in SOURCES for v in _violations(path)]
+    assert found == []
+
+
+def test_sources_are_ascii():
+    found = [f"{path.name}:{lineno}"
+             for path in SOURCES
+             for lineno, line in enumerate(
+                 path.read_text(encoding="utf-8").splitlines(), 1)
+             if not line.isascii()]
     assert found == []
 
 

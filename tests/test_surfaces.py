@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,65 @@ def test_make_random_general_exact_genericity():
     s = make_random_general(3, seed=13)
     delta = discriminant(s)
     assert form_is_squarefree(delta) and forms_coprime(delta, s.g4)
+
+
+def _genericity_running_every_test(s):
+    """The three clauses each decided by its own exact test, (c) included
+    when (a) holds: the reference for the shortcut that (a) implies (c)."""
+    from torelli_lab.binforms import form_is_squarefree, forms_coprime
+
+    delta = discriminant(s)
+    all_i1 = form_is_squarefree(delta)
+    failed = [] if all_i1 else ["a"]
+    try:
+        w = surfaces.ramification_form(s)
+    except surfaces.IsotrivialError:
+        return surfaces.GeneralityReport(
+            all_fibers_i1=all_i1, ram_reduced=False,
+            ram_avoids_discriminant=False,
+            failed_clauses=tuple(failed + ["b", "c"]),
+            warnings=("ramification form vanishes identically",))
+    reduced = form_is_squarefree(w)
+    if not reduced:
+        failed.append("b")
+    disjoint = forms_coprime(w, delta)
+    warnings = ()
+    if not disjoint:
+        failed.append("c")
+        warnings = (
+            "ramification meets the discriminant locus: multiplicities of "
+            "div(W) are only contractual on the general locus",)
+    return surfaces.GeneralityReport(
+        all_fibers_i1=all_i1, ram_reduced=reduced,
+        ram_avoids_discriminant=disjoint, failed_clauses=tuple(failed),
+        warnings=warnings)
+
+
+def test_clause_c_follows_from_clause_a(monkeypatch):
+    # criterion 7's surfaces, then draws with coefficients in [-1, 1],
+    # which make non-general surfaces common
+    cases = [make_with_I2(3, [Fraction(p) for p in (0, 1, -1, 2)[:r]],
+                          seed=100 * r + seed)
+             for r in (1, 2, 3, 4) for seed in range(5)]
+    monkeypatch.setattr(surfaces, "COEFF_BOUND", 1)
+    rng = random.Random(0)
+    while len(cases) < 140:
+        dL = 4 + len(cases) % 2
+        s = WeierstrassSurface(dL, surfaces._draw_form(rng, 4 * dL),
+                               surfaces._draw_form(rng, 6 * dL))
+        try:
+            discriminant(s)
+        except DegenerateSurfaceError:
+            continue
+        cases.append(s)
+    failed = set()
+    for s in cases:
+        report = surfaces.genericity(s)
+        assert report == _genericity_running_every_test(s)
+        failed.update(report.failed_clauses)
+        if report.all_fibers_i1:
+            assert report.ram_avoids_discriminant
+    assert failed == {"a", "b", "c"}
 
 
 def test_make_with_i2_local_equations_hold_exactly():
