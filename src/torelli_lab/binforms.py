@@ -14,8 +14,9 @@ the gcd, Yun's decomposition and exact division work on primitive integer
 lists.  The gcd is a primitive pseudo-remainder sequence behind a one-sided
 modular fast path: if the gcd of the reductions mod a prime (not dividing
 the leading coefficients) is constant, the rational gcd is certainly
-constant.  Numerical roots are companion-matrix eigenvalues polished by one
-Newton step, and every root is checked against a backward-error bound.
+constant.  The primes are below 2^31, so the elimination mod p runs on
+int64 arrays.  Numerical roots are companion-matrix eigenvalues polished by
+one Newton step, and every root is checked against a backward-error bound.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ CLUSTER_TOL = 1e-7
 BACKWARD_ERROR_TOL = 1e-9
 
 # Primes for the one-sided "gcd is constant" test, in the order tried: the
-# test uses the first that divides neither leading coefficient, and products
-# mod a prime below 2^31 stay small ints.
-_GCD_PRIMES = (2**31 - 1, 1000000007, 998244353, 2**61 - 1)
+# test uses the first that divides neither leading coefficient.  Each is
+# below 2^31, so a product of two residues is below 2^62 and the elimination
+# runs on int64 arrays without overflow.
+_GCD_PRIMES = (2**31 - 1, 1000000007, 998244353, 2147483629)
 
 
 class ZeroFormError(TorelliLabError):
@@ -135,29 +137,32 @@ def _to_int_primitive(coeffs):
     return _int_primitive([c.numerator * (den // c.denominator) for c in coeffs])
 
 
-def _poly_mod_p(ints, p):
-    return [c % p for c in ints]
-
-
 def _gf_gcd_degree(a, b, p):
-    """Degree of gcd over GF(p); inputs are int lists mod p."""
-    a = poly_strip(a)
-    b = poly_strip(b)
-    while b:
-        if len(b) == 1:
-            return 0
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b):
-            c = r[-1] * inv % p
-            k = len(r) - len(b)
-            for j in range(len(b)):
-                r[k + j] = (r[k + j] - c * b[j]) % p
-            r = poly_strip(r)
-            if not r:
-                break
-        a, b = b, r
-    return len(a) - 1
+    """Degree of the gcd over GF(p) of two integer polynomials, p < 2^31.
+
+    Euclid's algorithm on int64 arrays of residues.  Each divisor is made
+    monic once per stage, so every reduction step is one in-place row update
+    of the dividend (a fresh array, reduced where it lies): a residue times
+    a residue stays below 2^62.
+    """
+    def residues(x):
+        x = np.array([c % p for c in x], dtype=np.int64)
+        nonzero = np.flatnonzero(x)
+        return x[:nonzero[-1] + 1] if len(nonzero) else x[:0]
+
+    a, b = residues(a), residues(b)
+    while len(b) > 1:
+        b = b * pow(int(b[-1]), -1, p) % p
+        n, m = len(a), len(b)
+        while n >= m:
+            seg = a[n - m:n]
+            seg -= a[n - 1] * b
+            seg %= p
+            n -= 1
+            while n and not a[n - 1]:
+                n -= 1
+        a, b = b, a[:n]
+    return 0 if len(b) else len(a) - 1
 
 
 def _gcd_constant_fast(a_int, b_int):
@@ -170,7 +175,7 @@ def _gcd_constant_fast(a_int, b_int):
         return None
     for p in _GCD_PRIMES:
         if a_int[-1] % p and b_int[-1] % p:
-            if _gf_gcd_degree(_poly_mod_p(a_int, p), _poly_mod_p(b_int, p), p) == 0:
+            if _gf_gcd_degree(a_int, b_int, p) == 0:
                 return True
             return None
     return None
@@ -400,12 +405,15 @@ class DivisorP1:
         for _, m in pts:
             if m <= 0:
                 raise DivisorError("multiplicities must be positive")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i][0].chordal(pts[j][0]) <= CLUSTER_TOL:
-                    raise DivisorError(
-                        "divisor points are not separated at the clustering "
-                        f"scale {CLUSTER_TOL}")
+        # ProjectivePointP1.chordal of every pair i < j at once
+        z = np.array([(p.z0, p.z1) for p, _ in pts],
+                     dtype=complex).reshape(-1, 2)
+        i, j = np.triu_indices(len(pts), 1)
+        chordal = np.abs(z[i, 0] * z[j, 1] - z[i, 1] * z[j, 0])
+        if np.any(chordal <= CLUSTER_TOL):
+            raise DivisorError(
+                "divisor points are not separated at the clustering "
+                f"scale {CLUSTER_TOL}")
         pts = tuple(sorted(pts, key=lambda pm: pm[0]._sort_key()))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "degree", sum(m for _, m in pts))
@@ -577,18 +585,23 @@ def roots_projective(f: BinaryForm) -> DivisorP1:
     """All deg(f) projective roots with multiplicities summing to deg(f).
 
     The multiplicity structure comes from the squarefree decomposition over
-    Q; floats only locate the points.  The root at (0, 1) carries
-    multiplicity deg(f) - deg(affine part).
+    Q; floats only locate the points.
     """
     if f.is_zero:
         raise ZeroFormError("the zero form has no root divisor")
-    entries = []
-    aff = poly_strip(f.coeffs)
-    inf_mult = f.degree - (len(aff) - 1)
-    if len(aff) > 1:
-        for factor, mult in squarefree_decomposition(aff):
-            for r in _roots_dense([complex(c) for c in factor]):
-                entries.append((ProjectivePointP1.from_affine(r), mult))
+    return divisor_from_factors(f, squarefree_decomposition(f.coeffs))
+
+
+def divisor_from_factors(f: BinaryForm, factors) -> DivisorP1:
+    """The root divisor of the nonzero form f, given the squarefree
+    decomposition of its affine part as ``squarefree_decomposition``
+    returns it.  The root at (0, 1) carries multiplicity deg(f) - deg(affine
+    part).
+    """
+    entries = [(ProjectivePointP1.from_affine(r), mult)
+               for factor, mult in factors
+               for r in _roots_dense([complex(c) for c in factor])]
+    inf_mult = f.mult_at_infinity()
     if inf_mult > 0:
         entries.append((ProjectivePointP1.infinity(), inf_mult))
     return DivisorP1(tuple(entries))

@@ -99,10 +99,12 @@ def cmd_recover(args) -> int:
         nullspace_rel_tol=args.nullspace_rel_tol,
         match_tol=args.match_tol)
     factors = recovery.extract_rank_ones(presentation, args.seed, config)
+    recovered_dl = recovery.recovered_line_degree(presentation.h, len(factors))
     geometry = recovery.recover_geometry(factors, presentation.h, config)
     data = _stamp({
         "h": presentation.h,
         "N": presentation.N,
+        "recovered_dL": recovered_dl,
         "quadric_dim": geometry.quadric_dim,
         "point_residual_max": geometry.point_residual_max,
         "min_confidence": min(f.confidence for f in factors),

@@ -74,12 +74,20 @@ def canonical_point(a: ProjectivePointP1, h: int) -> EmbeddedPoint:
     On the affine chart this is the direction (1, a, a^2, ..., a^(h-1));
     the homogeneous monomials extend it through a = infinity.
     """
+    return canonical_points([a], h)[0]
+
+
+def canonical_points(base_points, h: int) -> tuple:
+    """``canonical_point`` of every point, from one array power and one
+    row normalization."""
     if h < 3:
         raise UsageError("the canonical embedding needs h >= 3")
-    z0, z1 = a.z0, a.z1
-    vec = np.array([z0 ** (h - 1 - k) * z1 ** k for k in range(h)],
-                   dtype=complex)
-    return EmbeddedPoint(base_point=a, x=normalize_phase(vec))
+    z = np.array([(a.z0, a.z1) for a in base_points],
+                 dtype=complex).reshape(-1, 2)
+    k = np.arange(h)
+    rows = normalize_phase_rows(z[:, :1] ** (h - 1 - k) * z[:, 1:] ** k)
+    return tuple(EmbeddedPoint(base_point=a, x=x)
+                 for a, x in zip(base_points, rows))
 
 
 class IVHSPresentation:
@@ -162,7 +170,7 @@ def synthesize(s: WeierstrassSurface, seed: int, frame_seed=None,
             f"expected {N} distinct ramification points, found "
             f"{len(base_points)}")
 
-    points = tuple(canonical_point(p, h) for p in base_points)
+    points = canonical_points(base_points, h)
     X = np.column_stack([ep.x for ep in points])
 
     fs = _surface_frame_seed(s) if frame_seed is None else int(frame_seed)

@@ -33,7 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
-from .jets import DEFAULT_HIGH_CUT, DEFAULT_LOW_CUT, JetSeries, WindowError
+from .jets import (
+    DEFAULT_HIGH_CUT,
+    DEFAULT_LOW_CUT,
+    JetSeries,
+    WindowError,
+    _rat,
+)
 
 MAX_ORDER_DEFAULT = 6
 
@@ -57,9 +63,7 @@ class JetCoefficients:
             if m + n > max_order:
                 raise JetOrderError(
                     f"jet index ({m}, {n}) exceeds max_order {max_order}")
-            if isinstance(value, float):
-                raise TypeError("jet coefficients are exact rationals")
-            value = Fraction(value)
+            value = _rat(value)
             if value:
                 clean[(m, n)] = value
         object.__setattr__(self, "b", clean)

@@ -8,9 +8,10 @@ that locus through infinity with the correct total degree
 10*dL - 2 = 10h + 8(1-q).
 
 The degree law is exact, and so is the genericity report, which is decided
-in ``surfaces.genericity``; the form W itself is kept on the surface by
-``surfaces.ramification_form``.  Only the divisor's point coordinates are
-floating point.
+in ``surfaces.genericity``; the form W and its squarefree decomposition are
+kept on the surface by ``surfaces.ramification_form`` and
+``surfaces.ramification_factors``.  Only the divisor's point coordinates
+are floating point.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .surfaces import (
     WeierstrassSurface,
     genericity,
     invariants,
+    ramification_factors,
     ramification_form,
 )
 
@@ -45,7 +47,7 @@ def ramification_divisor(s: WeierstrassSurface) -> RamificationDivisor:
         raise ConsistencyError(
             f"degree bookkeeping violated: deg W = {w.degree}, "
             f"expected {expected}")
-    divisor = binforms.roots_projective(w)
+    divisor = binforms.divisor_from_factors(w, ramification_factors(s))
     if divisor.degree != w.degree:
         raise ConsistencyError(
             f"root multiplicities sum to {divisor.degree}, not deg W = {w.degree}")

@@ -362,6 +362,18 @@ def _curve_samples(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return normalize_phase_rows(z[:, None] ** np.arange(h))
 
 
+def recovered_line_degree(h: int, n: int) -> int:
+    """dL = h + 1 - q, with q read from N = 10h + 8(1 - q) for the number n
+    of recovered points; ``StageError("recover", ...)`` naming n when no
+    admissible (h, q) fits."""
+    q, rem = divmod(10 * h + 8 - n, 8)
+    if rem or q < 0 or not degree_gate_ok(h, q):
+        raise StageError(
+            "recover", f"recover: {n} recovered points fit no admissible "
+            f"(h, q) with h = {h}")
+    return h + 1 - q
+
+
 def roundtrip(s: WeierstrassSurface, seed: int,
               config: RecoveryConfig = DEFAULT_CONFIG,
               corrupt_span: bool = False) -> RoundTripReport:
@@ -395,14 +407,7 @@ def roundtrip(s: WeierstrassSurface, seed: int,
             h=inv.h, N=inv.N, basis=basis, gram=presentation.gram)
     factors = run("extract", lambda: extract_rank_ones(
         presentation, seed, config))
-    # N = 10h + 8(1 - q) read backwards from the recovered points
-    n = len(factors)
-    q, rem = divmod(10 * presentation.h + 8 - n, 8)
-    if rem or q < 0 or not degree_gate_ok(presentation.h, q):
-        raise StageError(
-            "recover", f"recover: {n} recovered points fit no admissible "
-            f"(h, q) with h = {presentation.h}")
-    recovered_dl = presentation.h + 1 - q
+    recovered_dl = recovered_line_degree(presentation.h, len(factors))
     geometry = run("recover", lambda: recover_geometry(
         factors, inv.h, config))
     truth_x = np.vstack([ep.x for ep in truth.points])

@@ -14,8 +14,8 @@ at each prescribed point via a0 = 3 s^2, b0 = s^3, b1 = a1 s / 2.
 
 Genericity is decided in rational arithmetic without root finding; floats
 appear only in reported fibre coordinates.  A surface object computes its
-discriminant, its ramification form W and its genericity report at most
-once and keeps them.
+discriminant, its ramification form W, the squarefree decomposition of W
+and its genericity report at most once and keeps them.
 """
 
 from __future__ import annotations
@@ -118,12 +118,14 @@ class Invariants:
 class WeierstrassSurface:
     """Exact Weierstrass data (g4, g6) over a genus-q base (q = 0 in v1).
 
-    The slots ``_delta``, ``_w`` and ``_report`` keep the facts computed by
-    ``discriminant``, ``ramification_form`` and ``genericity``; they take no
-    part in equality, repr or the JSON form.
+    The slots ``_delta``, ``_w``, ``_w_factors`` and ``_report`` keep the
+    facts computed by ``discriminant``, ``ramification_form``,
+    ``ramification_factors`` and ``genericity``; they take no part in
+    equality, repr or the JSON form.
     """
 
-    __slots__ = ("q", "dL", "g4", "g6", "_delta", "_w", "_report")
+    __slots__ = ("q", "dL", "g4", "g6", "_delta", "_w", "_w_factors",
+                 "_report")
 
     def __init__(self, dL: int, g4: BinaryForm, g6: BinaryForm, q: int = 0):
         if q != 0:
@@ -144,7 +146,7 @@ class WeierstrassSurface:
         object.__setattr__(self, "dL", dL)
         object.__setattr__(self, "g4", g4)
         object.__setattr__(self, "g6", g6)
-        for name in ("_delta", "_w", "_report"):
+        for name in ("_delta", "_w", "_w_factors", "_report"):
             object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value):
@@ -225,6 +227,16 @@ def ramification_form(s: WeierstrassSurface) -> BinaryForm:
             "isotrivial or degenerate family: the transvectant of (g4, g6) "
             "vanishes identically")
     return w
+
+
+def ramification_factors(s: WeierstrassSurface):
+    """Squarefree decomposition of the affine part of W, as
+    ``squarefree_decomposition`` gives it.  Genericity clause (b) and the
+    ramification divisor both read it, so W's squarefreeness is proved
+    once per surface."""
+    w = ramification_form(s)
+    return _stored(s, "_w_factors",
+                   lambda: squarefree_decomposition(w.coeffs))
 
 
 def classify_fibers(s: WeierstrassSurface) -> FiberReport:
@@ -321,8 +333,9 @@ def genericity(s: WeierstrassSurface) -> GeneralityReport:
     Clause (a) is decided as "Delta is squarefree".  A fibre is I1 exactly
     at a simple zero of Delta where g4 does not vanish, and at a zero p of
     Delta with g4(p) = 0 also g6(p) = 0, so ord_p Delta >= 2; the point at
-    infinity behaves the same.  Raises ``DegenerateSurfaceError`` when Delta
-    vanishes identically.
+    infinity behaves the same.  Clause (b) reads the stored
+    ``ramification_factors``, which the ramification divisor reuses.  Raises
+    ``DegenerateSurfaceError`` when Delta vanishes identically.
 
     Clause (a) implies clause (c), so W and Delta are tested for a common
     root only when Delta is not squarefree.  By Euler's identity, for
@@ -351,7 +364,8 @@ def _decide_genericity(s: WeierstrassSurface) -> GeneralityReport:
             failed_clauses=tuple(failed + ["b", "c"]),
             warnings=("ramification form vanishes identically",),
         )
-    reduced = form_is_squarefree(w)
+    reduced = w.mult_at_infinity() <= 1 and all(
+        m == 1 for _, m in ramification_factors(s))
     if not reduced:
         failed.append("b")
     disjoint = all_i1 or forms_coprime(w, delta)

@@ -12,7 +12,10 @@ import sympy
 from conftest import multiplicity_at, random_exact_form
 from torelli_lab import binforms
 from torelli_lab.binforms import (
+    CLUSTER_TOL,
     BinaryForm,
+    DivisorError,
+    DivisorP1,
     ProjectivePointP1,
     ZeroFormError,
     form_is_squarefree,
@@ -130,6 +133,101 @@ def test_exact_division_over_z_rejects_a_remainder(a, b):
 
 
 # ---------------------------------------------------------------------------
+# the modular "gcd is constant" test
+# ---------------------------------------------------------------------------
+
+def _gf_gcd_degree_loop(a, b, p):
+    """Degree of the gcd over GF(p) of two lists of residues mod p, by
+    Euclid's algorithm in pure Python: the oracle of the int64 elimination."""
+    a = poly_strip(a)
+    b = poly_strip(b)
+    while b:
+        if len(b) == 1:
+            return 0
+        inv = pow(b[-1], p - 2, p)
+        r = list(a)
+        while len(r) >= len(b):
+            c = r[-1] * inv % p
+            k = len(r) - len(b)
+            for j in range(len(b)):
+                r[k + j] = (r[k + j] - c * b[j]) % p
+            r = poly_strip(r)
+            if not r:
+                break
+        a, b = b, r
+    return len(a) - 1
+
+
+def _agrees_with_the_loop(a, b):
+    """The int64 elimination's degree for every prime, checked against the
+    loop's on the reductions."""
+    degrees = []
+    for p in binforms._GCD_PRIMES:
+        degree = binforms._gf_gcd_degree(a, b, p)
+        assert degree == _gf_gcd_degree_loop([c % p for c in a],
+                                             [c % p for c in b], p)
+        degrees.append(degree)
+    return degrees
+
+
+@pytest.mark.parametrize("h", range(3, 9))
+def test_int64_elimination_agrees_with_the_loop_on_sampled_surfaces(h):
+    for seed in range(5):
+        s = make_random_general(h, seed)
+        delta = poly_strip(discriminant(s).coeffs)
+        w = poly_strip(ramification_form(s).coeffs)
+        for a, b in ((delta, poly_derivative(delta)),
+                     (w, poly_derivative(w)), (w, delta)):
+            _agrees_with_the_loop(a, b)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_int64_elimination_finds_a_known_gcd_degree(k):
+    # distinct integer roots, far below every prime: the gcd is g mod p
+    g = [1]
+    for r in range(1, k + 1):
+        g = poly_mul(g, [r, 1])
+    u = poly_mul(poly_mul([-1, 1], [-2, 1]), [3, 0, 1])
+    v = poly_mul(poly_mul([-7, 1], [-9, 1]), [-11, 1])
+    a = poly_scale(poly_mul(g, u), 5)
+    b = poly_scale(poly_mul(g, v), -3)
+    assert _agrees_with_the_loop(a, b) == [k] * len(binforms._GCD_PRIMES)
+    assert _agrees_with_the_loop(b, a) == [k] * len(binforms._GCD_PRIMES)
+
+
+def test_int64_elimination_when_coefficients_vanish_mod_p():
+    # z^5 + z^3 + 1 - z^3 (z^2 + 1) = 1: four coefficients vanish at once
+    assert _agrees_with_the_loop([1, 0, 0, 1, 0, 1], [1, 0, 1]) == [0] * 4
+    for p in binforms._GCD_PRIMES:
+        # with b = 2z + 1 made monic, the z coefficient of
+        # a = z^2 + ((p + 1)/2) z + 1 vanishes mod p, though not over Q
+        a, b = [1, (p + 1) // 2, 1], [1, 2]
+        assert binforms._gf_gcd_degree(a, b, p) == 0
+        assert _gf_gcd_degree_loop(a, b, p) == 0
+
+
+def test_gcd_primes_keep_int64_products_exact():
+    for p in binforms._GCD_PRIMES:
+        assert sympy.isprime(p) and p < 2**31
+    assert len(set(binforms._GCD_PRIMES)) == len(binforms._GCD_PRIMES)
+
+
+def test_a_leading_coefficient_divisible_by_the_first_prime_moves_on(monkeypatch):
+    first, second = binforms._GCD_PRIMES[:2]
+    used = []
+    original = binforms._gf_gcd_degree
+
+    def recorded(a, b, p):
+        used.append(p)
+        return original(a, b, p)
+
+    monkeypatch.setattr(binforms, "_gf_gcd_degree", recorded)
+    a = [1, 0, first]                                  # first z^2 + 1
+    assert binforms._gcd_constant_fast(a, poly_derivative(a)) is True
+    assert used == [second]
+
+
+# ---------------------------------------------------------------------------
 # projective roots
 # ---------------------------------------------------------------------------
 
@@ -155,6 +253,43 @@ def test_roots_with_point_at_infinity():
     assert multiplicity_at(div, ProjectivePointP1.infinity()) == 1
     assert multiplicity_at(div, ProjectivePointP1.from_affine(1)) == 1
     assert multiplicity_at(div, ProjectivePointP1.from_affine(-1)) == 1
+
+
+def _separated_by_the_pairwise_loop(points):
+    """The pairwise chordal scan DivisorP1 once ran point by point: the
+    oracle of its vectorized scan."""
+    return all(points[i].chordal(points[j]) > CLUSTER_TOL
+               for i in range(len(points)) for j in range(i + 1, len(points)))
+
+
+def _at_angle(p, t):
+    """A point at chordal distance sin(t) from p."""
+    c, s = math.cos(t), math.sin(t)
+    return ProjectivePointP1(p.z0 * c - p.z1.conjugate() * s,
+                             p.z1 * c + p.z0.conjugate() * s)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+@pytest.mark.parametrize("base", [
+    lambda: [ProjectivePointP1.from_affine(0.3 - 1.2j)],
+    lambda: [ProjectivePointP1.infinity()],
+    lambda: [ProjectivePointP1.from_affine(2.0), ProjectivePointP1.infinity()],
+    lambda: [p for p, _ in roots_projective(
+        ramification_form(make_random_general(5, 0)))],
+], ids=["affine", "infinity", "two-points", "roots-of-W"])
+def test_divisor_separation_matches_the_pairwise_loop(base, scale):
+    base = base()
+    near = _at_angle(base[-1], math.asin(scale * CLUSTER_TOL))
+    assert math.isclose(near.chordal(base[-1]), scale * CLUSTER_TOL,
+                        rel_tol=1e-6)
+    for points in (base, base + [near]):
+        separated = _separated_by_the_pairwise_loop(points)
+        assert separated == (len(points) == len(base) or scale > 1)
+        if separated:
+            assert len(DivisorP1(tuple((p, 1) for p in points))) == len(points)
+        else:
+            with pytest.raises(DivisorError):
+                DivisorP1(tuple((p, 1) for p in points))
 
 
 def test_zero_form_has_no_divisor():

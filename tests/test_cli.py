@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
+from torelli_lab import ivhs
 from torelli_lab.cli import main
 from torelli_lab.surfaces import make_with_I2, save_surface
 
@@ -104,6 +107,35 @@ def test_ivhs_recover_flow(tmp_path):
     assert gdata["status"] == "ok"
     assert gdata["quadric_dim"] == 1
     assert gdata["min_confidence"] > 0.999
+
+
+def test_recover_reports_the_line_degree(tmp_path):
+    surf = tmp_path / "s.json"
+    main(["generate", "--h", "4", "--seed", "1", "-o", str(surf)])
+    pres = tmp_path / "ivhs.json"
+    assert main(["ivhs", str(surf), "--seed", "2", "-o", str(pres)]) == 0
+    geom = tmp_path / "geom.json"
+    assert main(["recover", str(pres), "--seed", "2", "-o", str(geom)]) == 0
+    assert read_json(geom)["recovered_dL"] == 5
+
+
+def test_recover_rejects_a_point_count_that_fits_no_surface(tmp_path, capsys):
+    # 37 rank-1 tensors in C^(3 x 37): N = 10h + 8(1 - q) has no solution
+    h, n = 3, 37
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, h)) + 1j * rng.standard_normal((n, h))
+    y = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    mixer = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    basis = np.einsum("jk,ki,ak->jia", mixer, x, y)
+    pres = tmp_path / "ivhs.json"
+    pres.write_text(json.dumps(ivhs.presentation_to_json_dict(
+        ivhs.IVHSPresentation(h=h, N=n, basis=basis))))
+    assert main(["recover", str(pres), "-o", str(tmp_path / "g.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:recover:")
+    assert "37 recovered points fit no admissible (h, q)" in err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_ivhs_rejects_non_general_surface(tmp_path, capsys):

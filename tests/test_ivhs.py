@@ -186,3 +186,23 @@ def test_sampled_surface_builds_w_once(monkeypatch):
     s = make_random_general(5, seed=0)
     synthesize(s, seed=0)
     assert len(calls) == 1
+
+
+def test_sampled_surface_runs_the_modular_test_on_delta_and_w_only(monkeypatch):
+    pairs = []
+    original = binforms._gf_gcd_degree
+
+    def recorded(a, b, p):
+        pairs.append((binforms._to_int_primitive(a),
+                      binforms._to_int_primitive(b)))
+        return original(a, b, p)
+
+    monkeypatch.setattr(binforms, "_gf_gcd_degree", recorded)
+    s = make_random_general(5, seed=0)
+    synthesize(s, seed=0)
+    expected = []
+    for form in (surfaces.discriminant(s), surfaces.ramification_form(s)):
+        a = binforms._to_int_primitive(form.coeffs)
+        expected.append((a, binforms._to_int_primitive(
+            binforms.poly_derivative(a))))
+    assert pairs == expected

@@ -121,6 +121,16 @@ def test_jet_coefficient_validation():
         JetCoefficients({(0, 0): 0.5})
 
 
+def test_jet_coefficients_keep_a_fraction_and_reject_floats():
+    value = Fraction(3, 7)
+    b = JetCoefficients({(1, 2): value, (0, 1): 2})
+    assert b.b[(1, 2)] is value
+    assert b[(0, 1)] == 2 and type(b[(0, 1)]) is Fraction
+    for bad in (0.5, 1.0, 2j):
+        with pytest.raises(TypeError):
+            JetCoefficients({(0, 0): bad})
+
+
 def jets_to_json_dict(b: JetCoefficients) -> dict:
     return {"b": [[m, n, str(v)] for (m, n), v in b.items()],
             "max_order": b.max_order}

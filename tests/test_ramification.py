@@ -158,8 +158,8 @@ def test_i2_points_lie_in_ramification_divisor():
 
 def test_divisor_degree_mismatch_is_a_typed_error(monkeypatch):
     s = make_random_general(3, seed=0)
-    monkeypatch.setattr(binforms, "roots_projective",
-                        lambda w: DivisorP1(((ProjectivePointP1.infinity(), 1),)))
+    monkeypatch.setattr(binforms, "divisor_from_factors",
+                        lambda w, factors: DivisorP1(((ProjectivePointP1.infinity(), 1),)))
     with pytest.raises(ConsistencyError):
         ramification_divisor(s)
 

@@ -22,7 +22,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 BINFORMS = Path(torelli_lab.__file__).parent / "binforms.py"
 # with every ``poly_*`` function, the exact layer of binforms
-EXACT_LAYER = {"_int_primitive", "_to_int_primitive", "_poly_mod_p",
+EXACT_LAYER = {"_int_primitive", "_to_int_primitive",
                "_gf_gcd_degree", "_gcd_constant_fast", "_pseudo_rem",
                "_gcd_unless_constant", "gcd_is_constant",
                "squarefree_decomposition", "BinaryForm"}
