@@ -2,15 +2,20 @@
 
 A :class:`JetSeries` is a Laurent series ``c0(q) + t*c1(q)`` in a local
 coordinate ``q``, carrying a first-order deformation parameter ``t`` that is
-truncated structurally modulo ``t**2``.  Coefficients are exact rationals and
-exponents are confined to a hard window ``[low_cut, high_cut]``; exponents
-outside the window are truncated silently unless the caller marks them as
-significant.  Every operation is pure and exact; floats are rejected.
+truncated structurally modulo ``t**2``.  Coefficients are exact rationals,
+held as integer numerators over one positive common denominator in lowest
+terms, so the arithmetic runs on ints and ``Fraction`` appears only at the
+boundary: the constructor takes ints and Fractions, and ``coefficient``,
+``terms`` and ``repr`` give Fractions back.  Exponents are confined to a
+hard window ``[low_cut, high_cut]``; exponents outside the window are
+truncated silently unless the caller marks them as significant.  Every
+operation is pure and exact; floats are rejected.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import TorelliLabError
 
@@ -44,30 +49,59 @@ def _pair(value):
 class JetSeries:
     """Immutable exact series ``c0(q) + t*c1(q)`` modulo ``t**2``.
 
-    ``terms`` maps an exponent ``e`` of ``q`` to the pair ``(c0, c1)``.
-    Absent exponents are zero.  Construction rejects terms outside the
-    window; arithmetic truncates instead (silently above ``high_cut``,
-    and below ``low_cut`` unless ``strict_low`` is requested).
+    ``_num`` maps an exponent ``e`` of ``q`` to the integer numerators
+    ``(n0, n1)`` of ``(c0, c1)`` over the common denominator ``_den > 0``.
+    Absent exponents are zero, and the form is canonical: no stored pair is
+    ``(0, 0)``, ``gcd(_den, every numerator) == 1``, and ``_den == 1`` for
+    the zero series.  Construction rejects terms outside the window;
+    arithmetic truncates instead (silently above ``high_cut``, and below
+    ``low_cut`` unless ``strict_low`` is requested).
     """
 
-    __slots__ = ("low_cut", "high_cut", "_terms")
+    __slots__ = ("low_cut", "high_cut", "_num", "_den")
 
     def __init__(self, terms=None, low_cut: int = DEFAULT_LOW_CUT,
                  high_cut: int = DEFAULT_HIGH_CUT):
         if low_cut > high_cut:
             raise WindowError(f"empty window [{low_cut}, {high_cut}]")
-        object.__setattr__(self, "low_cut", int(low_cut))
-        object.__setattr__(self, "high_cut", int(high_cut))
-        clean = {}
+        pairs = {}
         for e, value in (terms or {}).items():
             e = int(e)
-            if e < self.low_cut or e > self.high_cut:
+            if e < low_cut or e > high_cut:
                 raise WindowError(
                     f"exponent {e} outside window [{low_cut}, {high_cut}]")
             c0, c1 = _pair(value)
             if c0 or c1:
-                clean[e] = (c0, c1)
-        object.__setattr__(self, "_terms", clean)
+                pairs[e] = (c0, c1)
+        # the lcm of reduced denominators leaves the numerators in lowest terms
+        den = lcm(*(c.denominator for pair in pairs.values() for c in pair))
+        num = {e: (c0.numerator * (den // c0.denominator),
+                   c1.numerator * (den // c1.denominator))
+               for e, (c0, c1) in pairs.items()}
+        self._init(num, den, int(low_cut), int(high_cut))
+
+    def _init(self, num, den, low_cut, high_cut):
+        object.__setattr__(self, "low_cut", low_cut)
+        object.__setattr__(self, "high_cut", high_cut)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _reduced(cls, num, den, low_cut, high_cut) -> "JetSeries":
+        """The series ``num / den`` for ``den > 0`` and nonzero pairs, put
+        in lowest terms by one gcd over the denominator and numerators."""
+        g = den
+        for n0, n1 in num.values():
+            g = gcd(g, n0, n1)
+            if g == 1:
+                break
+        else:
+            # g divides everything; for the zero series g == den
+            num = {e: (n0 // g, n1 // g) for e, (n0, n1) in num.items()}
+            den //= g
+        out = object.__new__(cls)
+        out._init(num, den, low_cut, high_cut)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("JetSeries is immutable")
@@ -95,31 +129,42 @@ class JetSeries:
     def linear_combination(cls, parts, low_cut: int, high_cut: int
                            ) -> "JetSeries":
         """``sum coeff * q**k * series`` over ``(coeff, k, series)`` parts,
-        accumulated in one pass.
+        accumulated in one pass over one common denominator.
 
         Equal to adding up ``series.shift(k).scale(coeff)`` for series on
         the window ``[low_cut, high_cut]``: shifted exponents outside the
-        window are dropped as :meth:`shift` drops them, and terms that
-        cancel are not stored.
+        window are dropped as :meth:`shift` drops them, zero coefficients
+        and zero series contribute nothing, and terms that cancel are not
+        stored.
         """
-        acc = {}
+        # (numerator, denominator, shift, numerators) of each nonzero part
+        ints = []
         for coeff, k, series in parts:
-            for e, (c0, c1) in series._terms.items():
+            coeff = _rat(coeff)
+            if coeff and series._num:
+                ints.append((coeff.numerator, coeff.denominator * series._den,
+                             k, series._num))
+        den = lcm(*[d for _, d, _, _ in ints])
+        acc = {}
+        for n, d, k, num in ints:
+            f = n * (den // d)
+            for e, (n0, n1) in num.items():
                 e += k
-                if low_cut <= e <= high_cut:
-                    a0, a1 = acc.get(e, (0, 0))
-                    acc[e] = (a0 + coeff * c0, a1 + coeff * c1)
-        return cls(acc, low_cut, high_cut)
+                a0, a1 = acc.get(e, (0, 0))
+                acc[e] = (a0 + f * n0, a1 + f * n1)
+        return cls._build(acc, den, low_cut, high_cut, strict_low=False)
 
     # ---- inspection ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def terms(self):
-        """Stored terms as a sorted list ``[(e, c0, c1), ...]``."""
-        return [(e, c[0], c[1]) for e, c in sorted(self._terms.items())]
+        """Stored terms as a sorted list ``[(e, c0, c1), ...]`` of Fractions."""
+        d = self._den
+        return [(e, Fraction(n0, d), Fraction(n1, d))
+                for e, (n0, n1) in sorted(self._num.items())]
 
     def coefficient(self, exponent: int, t_order: int) -> Fraction:
         """Exact coefficient of ``q**exponent * t**t_order`` (zero if absent)."""
@@ -129,28 +174,28 @@ class JetSeries:
             raise WindowError(
                 f"exponent {exponent} outside window "
                 f"[{self.low_cut}, {self.high_cut}]")
-        return self._terms.get(exponent, (Fraction(0), Fraction(0)))[t_order]
+        return Fraction(self._num.get(exponent, (0, 0))[t_order], self._den)
 
     def t_component(self, t_order: int) -> "JetSeries":
         """The pure-q series holding the ``t**t_order`` coefficients."""
         if t_order not in (0, 1):
             raise ValueError("t_order must be 0 or 1")
-        return JetSeries({e: c[t_order] for e, c in self._terms.items()},
-                         self.low_cut, self.high_cut)
+        num = {e: (c[t_order], 0) for e, c in self._num.items() if c[t_order]}
+        return self._reduced(num, self._den, self.low_cut, self.high_cut)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JetSeries):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self):
         if self.is_zero:
             return "JetSeries(0)"
         bits = []
-        for e, (c0, c1) in sorted(self._terms.items()):
+        for e, c0, c1 in self.terms():
             if c0:
                 bits.append(f"({c0})q^{e}")
             if c1:
@@ -166,10 +211,13 @@ class JetSeries:
             raise WindowError("disjoint exponent windows")
         return low, high
 
-    def _build(self, acc, low, high, strict_low):
+    @classmethod
+    def _build(cls, acc, den, low, high, strict_low) -> "JetSeries":
+        """The series of numerators ``acc`` over ``den``, truncated to the
+        window ``[low, high]`` and put in lowest terms."""
         kept = {}
-        for e, (c0, c1) in acc.items():
-            if not (c0 or c1):
+        for e, (n0, n1) in acc.items():
+            if not (n0 or n1):
                 continue
             if e > high:
                 continue
@@ -179,8 +227,8 @@ class JetSeries:
                         f"nonzero coefficient at exponent {e} below "
                         f"low_cut {low}")
                 continue
-            kept[e] = (c0, c1)
-        return JetSeries(kept, low, high)
+            kept[e] = (n0, n1)
+        return cls._reduced(kept, den, low, high)
 
     # ---- ring operations ------------------------------------------------
 
@@ -188,16 +236,19 @@ class JetSeries:
         if not isinstance(other, JetSeries):
             return NotImplemented
         low, high = self._merged_window(other)
+        den = lcm(self._den, other._den)
         acc = {}
-        for src in (self._terms, other._terms):
-            for e, (c0, c1) in src.items():
-                a0, a1 = acc.get(e, (Fraction(0), Fraction(0)))
-                acc[e] = (a0 + c0, a1 + c1)
-        return self._build(acc, low, high, strict_low=False)
+        for src, f in ((self, den // self._den), (other, den // other._den)):
+            for e, (n0, n1) in src._num.items():
+                a0, a1 = acc.get(e, (0, 0))
+                acc[e] = (a0 + f * n0, a1 + f * n1)
+        return self._build(acc, den, low, high, strict_low=False)
 
     def __neg__(self) -> "JetSeries":
-        return JetSeries({e: (-c0, -c1) for e, (c0, c1) in self._terms.items()},
-                         self.low_cut, self.high_cut)
+        out = object.__new__(JetSeries)
+        out._init({e: (-n0, -n1) for e, (n0, n1) in self._num.items()},
+                  self._den, self.low_cut, self.high_cut)
+        return out
 
     def __sub__(self, other: "JetSeries") -> "JetSeries":
         if not isinstance(other, JetSeries):
@@ -207,9 +258,11 @@ class JetSeries:
     def scale(self, factor) -> "JetSeries":
         """Multiply by an exact rational scalar."""
         f = _rat(factor)
-        return JetSeries({e: (f * c0, f * c1)
-                          for e, (c0, c1) in self._terms.items()},
-                         self.low_cut, self.high_cut)
+        p = f.numerator
+        num = ({e: (p * n0, p * n1) for e, (n0, n1) in self._num.items()}
+               if p else {})
+        return self._reduced(num, self._den * f.denominator,
+                             self.low_cut, self.high_cut)
 
     def __rmul__(self, factor):
         if isinstance(factor, (int, Fraction)):
@@ -226,15 +279,12 @@ class JetSeries:
             raise TypeError("can only multiply JetSeries by JetSeries")
         low, high = self._merged_window(other)
         acc = {}
-        for ea, (a0, a1) in self._terms.items():
-            for eb, (b0, b1) in other._terms.items():
+        for ea, (a0, a1) in self._num.items():
+            for eb, (b0, b1) in other._num.items():
                 e = ea + eb
-                c0 = a0 * b0
-                c1 = a0 * b1 + a1 * b0
-                if c0 or c1:
-                    p0, p1 = acc.get(e, (Fraction(0), Fraction(0)))
-                    acc[e] = (p0 + c0, p1 + c1)
-        return self._build(acc, low, high, strict_low)
+                p0, p1 = acc.get(e, (0, 0))
+                acc[e] = (p0 + a0 * b0, p1 + a0 * b1 + a1 * b0)
+        return self._build(acc, self._den * other._den, low, high, strict_low)
 
     def __mul__(self, other):
         if isinstance(other, JetSeries):
@@ -245,8 +295,9 @@ class JetSeries:
 
     def shift(self, k: int, strict_low: bool = False) -> "JetSeries":
         """Multiply by ``q**k`` (window truncation as in :meth:`mul`)."""
-        acc = {e + k: c for e, c in self._terms.items()}
-        return self._build(acc, self.low_cut, self.high_cut, strict_low)
+        acc = {e + k: c for e, c in self._num.items()}
+        return self._build(acc, self._den, self.low_cut, self.high_cut,
+                           strict_low)
 
     # ---- the two special inverses used by the residue chain -------------
 
@@ -256,17 +307,20 @@ class JetSeries:
         Modulo ``t**2`` this is ``1 - u/2``; a nonzero t^0 part is rejected
         because general square roots are out of scope.
         """
-        for e, (c0, _) in self._terms.items():
-            if c0:
+        for e, (n0, _) in self._num.items():
+            if n0:
                 raise ValueError(
                     "sqrt_one_minus needs an argument with zero t^0 part "
-                    f"(found coefficient {c0} at exponent {e})")
+                    f"(found coefficient {Fraction(n0, self._den)} at "
+                    f"exponent {e})")
         if self.low_cut > 0 or self.high_cut < 0:
             raise WindowError("window must contain exponent 0 for the unit term")
-        acc = {e: (Fraction(0), -c1 / 2) for e, (_, c1) in self._terms.items()}
-        z = acc.get(0, (Fraction(0), Fraction(0)))
-        acc[0] = (Fraction(1), z[1])
-        return self._build(acc, self.low_cut, self.high_cut, strict_low=False)
+        # 1 - u/2 over the denominator 2*den
+        den = 2 * self._den
+        acc = {e: (0, -n1) for e, (_, n1) in self._num.items()}
+        acc[0] = (den, acc.get(0, (0, 0))[1])
+        return self._build(acc, den, self.low_cut, self.high_cut,
+                           strict_low=False)
 
     def invert_unit(self) -> "JetSeries":
         """Inverse of a series whose t^0 part is a single monomial.
@@ -274,14 +328,17 @@ class JetSeries:
         ``c*q**e + t*p(q)`` inverts to ``q**-e/c - t*p(q)*q**-2e/c**2``
         modulo ``t**2``.  Needed for the ``v**(n-1)`` factor at ``n = 0``.
         """
-        base = [(e, c0) for e, (c0, _) in self._terms.items() if c0]
+        base = [(e, n0) for e, (n0, _) in self._num.items() if n0]
         if len(base) != 1:
             raise ValueError("invert_unit needs a single-monomial t^0 part")
-        e0, c = base[0]
-        acc = {-e0: (1 / c, Fraction(0))}
-        for e, (_, c1) in self._terms.items():
-            if c1:
+        # with c = n/d: 1/c = d*n / n**2 and -c1/c**2 = -n1*d / n**2
+        e0, n = base[0]
+        d = self._den
+        acc = {-e0: (d * n, 0)}
+        for e, (_, n1) in self._num.items():
+            if n1:
                 k = e - 2 * e0
-                p0, p1 = acc.get(k, (Fraction(0), Fraction(0)))
-                acc[k] = (p0, p1 - c1 / (c * c))
-        return self._build(acc, self.low_cut, self.high_cut, strict_low=False)
+                p0, p1 = acc.get(k, (0, 0))
+                acc[k] = (p0, p1 - n1 * d)
+        return self._build(acc, n * n, self.low_cut, self.high_cut,
+                           strict_low=False)

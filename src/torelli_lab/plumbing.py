@@ -31,6 +31,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import UsageError
 from .jets import (
@@ -149,13 +150,19 @@ def closed_form_pair(b: JetCoefficients, low_cut=None, high_cut=None):
     low0, high0 = _window_for(b.max_order)
     low = low0 if low_cut is None else int(low_cut)
     high = high0 if high_cut is None else int(high_cut)
+    # integer numerators over den for omega and over 4*den for eta
+    den = lcm(*(coeff.denominator for coeff in b.b.values()))
     omega = {}
     eta = {}
-    for (m, n), coeff in b.items():
+    for (m, n), coeff in b.b.items():
         e = m + n
-        omega[e] = omega.get(e, Fraction(0)) - coeff
-        eta[e - 2] = eta.get(e - 2, Fraction(0)) + Fraction(2 * n - 1, 4) * coeff
-    return (JetSeries(omega, low, high), JetSeries(eta, low, high))
+        k = coeff.numerator * (den // coeff.denominator)
+        omega[e] = omega.get(e, 0) - k
+        eta[e - 2] = eta.get(e - 2, 0) + (2 * n - 1) * k
+    return (JetSeries({e: Fraction(k, den) for e, k in omega.items()},
+                      low, high),
+            JetSeries({e: Fraction(k, 4 * den) for e, k in eta.items()},
+                      low, high))
 
 
 @dataclass(frozen=True)
@@ -168,11 +175,15 @@ class ClosedFormCheck:
 
 
 def _first_mismatch(lhs: JetSeries, rhs: JetSeries):
-    """Lowest exponent whose t^0 coefficients differ, or None."""
-    exps = sorted({e for e, _, _ in lhs.terms()} |
-                  {e for e, _, _ in rhs.terms()})
-    return next((e for e in exps
-                 if lhs.coefficient(e, 0) != rhs.coefficient(e, 0)), None)
+    """Lowest exponent whose t^0 coefficients differ, or None.
+
+    The passing case builds no ``Fraction``: series in canonical form are
+    equal exactly when their numerators and denominators are, and otherwise
+    the answer is the lowest exponent of the difference's t^0 part."""
+    if lhs == rhs:
+        return None
+    diff = (lhs - rhs).t_component(0)
+    return None if diff.is_zero else diff.terms()[0][0]
 
 
 def _compare_closed_forms(b: JetCoefficients, omega: JetSeries,

@@ -364,13 +364,18 @@ def _curve_samples(h: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 def recovered_line_degree(h: int, n: int) -> int:
     """dL = h + 1 - q, with q read from N = 10h + 8(1 - q) for the number n
-    of recovered points; ``StageError("recover", ...)`` naming n when no
-    admissible (h, q) fits."""
+    of recovered points.  ``StageError("recover", ...)`` names n when no
+    admissible (h, q) fits, and names n and q when the fit has q >= 1,
+    because the quadric interpolation is written for q = 0 only."""
     q, rem = divmod(10 * h + 8 - n, 8)
     if rem or q < 0 or not degree_gate_ok(h, q):
         raise StageError(
             "recover", f"recover: {n} recovered points fit no admissible "
             f"(h, q) with h = {h}")
+    if q:
+        raise StageError(
+            "recover", f"recover: {n} recovered points fit q = {q} with "
+            f"h = {h}, but recovery interpolates for q = 0 only")
     return h + 1 - q
 
 

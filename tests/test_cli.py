@@ -119,22 +119,37 @@ def test_recover_reports_the_line_degree(tmp_path):
     assert read_json(geom)["recovered_dL"] == 5
 
 
-def test_recover_rejects_a_point_count_that_fits_no_surface(tmp_path, capsys):
-    # 37 rank-1 tensors in C^(3 x 37): N = 10h + 8(1 - q) has no solution
-    h, n = 3, 37
+def write_rank_one_presentation(path, h, n):
+    """The span of n random rank-1 tensors in C^(h x n), mixed."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, h)) + 1j * rng.standard_normal((n, h))
     y = np.linalg.qr(rng.standard_normal((n, n))
                      + 1j * rng.standard_normal((n, n)))[0]
     mixer = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     basis = np.einsum("jk,ki,ak->jia", mixer, x, y)
-    pres = tmp_path / "ivhs.json"
-    pres.write_text(json.dumps(ivhs.presentation_to_json_dict(
+    path.write_text(json.dumps(ivhs.presentation_to_json_dict(
         ivhs.IVHSPresentation(h=h, N=n, basis=basis))))
+
+
+def test_recover_rejects_a_point_count_that_fits_no_surface(tmp_path, capsys):
+    # 37 rank-1 tensors in C^(3 x 37): N = 10h + 8(1 - q) has no solution
+    pres = tmp_path / "ivhs.json"
+    write_rank_one_presentation(pres, h=3, n=37)
     assert main(["recover", str(pres), "-o", str(tmp_path / "g.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:recover:")
     assert "37 recovered points fit no admissible (h, q)" in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_recover_rejects_a_point_count_that_fits_q_one(tmp_path, capsys):
+    # 50 = 10h + 8(1 - q) at h = 5 fits q = 1, which recovery does not handle
+    pres = tmp_path / "ivhs.json"
+    write_rank_one_presentation(pres, h=5, n=50)
+    assert main(["recover", str(pres), "-o", str(tmp_path / "g.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:recover:")
+    assert "50 recovered points fit q = 1 with h = 5" in err
     assert not (tmp_path / "g.json").exists()
 
 

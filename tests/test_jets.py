@@ -1,4 +1,5 @@
-"""Exact series arithmetic: ring axioms, the square-root law, windows."""
+"""Exact series arithmetic: ring axioms, the square-root law, windows, and
+the integer representation against a ``Fraction``-dict oracle."""
 
 import random
 from fractions import Fraction
@@ -122,3 +123,320 @@ def test_invert_unit_roundtrip():
         f = JetSeries(terms)
         g = f.invert_unit()
         assert f.mul(g) == JetSeries.one()
+
+
+def test_canonical_form_equal_values_compare_and_hash_equal():
+    half = JetSeries({0: Fraction(2, 4)})
+    assert half == JetSeries.one().scale(Fraction(1, 2))
+    assert hash(half) == hash(JetSeries.one().scale(Fraction(1, 2)))
+    assert JetSeries({0: (2, Fraction(6, 4))}) == JetSeries({0: (2, 1)}) * 2 \
+        - JetSeries({0: (2, Fraction(1, 2))})
+    rng = random.Random(13)
+    for _ in range(40):
+        a = random_series(rng)
+        for b in (a.scale(3).scale(Fraction(1, 3)),
+                  a.scale(Fraction(-5, 7)).scale(Fraction(-7, 5)),
+                  (a + a).scale(Fraction(1, 2)),
+                  a.shift(2).shift(-2)):
+            assert b == a and hash(b) == hash(a)
+
+
+def test_canonical_form_cancellation_gives_the_zero_series():
+    rng = random.Random(17)
+    zero = JetSeries.zero()
+    for _ in range(40):
+        a = random_series(rng)
+        for z in (a - a, a + (-a), a.scale(0), a.t_component(0) +
+                  a.t_component(1).mul(JetSeries.monomial(0, c1=1))
+                  - a):
+            assert z == zero and hash(z) == hash(zero) and z.is_zero
+            assert z.terms() == [] and repr(z) == "JetSeries(0)"
+
+
+def test_boundary_values_are_fractions():
+    s = JetSeries({1: (3, Fraction(1, 6)), -1: (Fraction(-4, 6), 0)})
+    for e, c0, c1 in s.terms():
+        assert type(c0) is Fraction and type(c1) is Fraction
+    assert s.terms() == [(-1, Fraction(-2, 3), 0), (1, 3, Fraction(1, 6))]
+    for e in (-1, 0, 1):
+        for t in (0, 1):
+            assert type(s.coefficient(e, t)) is Fraction
+    assert repr(s) == "JetSeries((-2/3)q^-1 + (3)q^1 + (1/6)t q^1)"
+
+
+def test_float_and_complex_inputs_raise_type_error():
+    for bad in (0.5, 1.0, 2j, (1, 0.5), (1j, 0)):
+        with pytest.raises(TypeError):
+            JetSeries({0: bad})
+    one = JetSeries.one()
+    for bad in (0.5, 2.0, 1j):
+        with pytest.raises(TypeError):
+            one.scale(bad)
+    with pytest.raises(TypeError):
+        JetSeries.linear_combination([(0.5, 0, one)], -8, 12)
+    with pytest.raises(TypeError):
+        JetSeries.monomial(0, c1=1.5)
+
+
+def test_series_are_immutable():
+    s = JetSeries.one()
+    for name in ("low_cut", "high_cut", "_num", "_den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0)
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against the Fraction-dict series it replaced
+# ---------------------------------------------------------------------------
+
+def _frac(value):
+    if isinstance(value, (float, complex)):
+        raise TypeError("floats are not allowed")
+    return Fraction(value)
+
+
+class FractionJetSeries:
+    """The series as first written: a dict ``{e: (c0, c1)}`` of Fractions,
+    every operation in ``Fraction`` arithmetic.  The oracle the integer
+    numerators over one common denominator must reproduce exactly."""
+
+    def __init__(self, terms=None, low_cut=-8, high_cut=12):
+        if low_cut > high_cut:
+            raise WindowError(f"empty window [{low_cut}, {high_cut}]")
+        self.low_cut, self.high_cut = low_cut, high_cut
+        self._terms = {}
+        for e, value in (terms or {}).items():
+            if e < low_cut or e > high_cut:
+                raise WindowError(f"exponent {e} outside window")
+            c0, c1 = value if isinstance(value, tuple) else (value, 0)
+            c0, c1 = _frac(c0), _frac(c1)
+            if c0 or c1:
+                self._terms[e] = (c0, c1)
+
+    @classmethod
+    def linear_combination(cls, parts, low_cut, high_cut):
+        acc = {}
+        for coeff, k, series in parts:
+            for e, (c0, c1) in series._terms.items():
+                e += k
+                if low_cut <= e <= high_cut:
+                    a0, a1 = acc.get(e, (0, 0))
+                    acc[e] = (a0 + coeff * c0, a1 + coeff * c1)
+        return cls(acc, low_cut, high_cut)
+
+    def terms(self):
+        return [(e, c[0], c[1]) for e, c in sorted(self._terms.items())]
+
+    def coefficient(self, exponent, t_order):
+        if exponent < self.low_cut or exponent > self.high_cut:
+            raise WindowError("outside the window")
+        return self._terms.get(exponent, (Fraction(0), Fraction(0)))[t_order]
+
+    def t_component(self, t_order):
+        return FractionJetSeries({e: c[t_order] for e, c in self._terms.items()},
+                                 self.low_cut, self.high_cut)
+
+    def _merged_window(self, other):
+        low = max(self.low_cut, other.low_cut)
+        high = min(self.high_cut, other.high_cut)
+        if low > high:
+            raise WindowError("disjoint exponent windows")
+        return low, high
+
+    def _build(self, acc, low, high, strict_low):
+        kept = {}
+        for e, (c0, c1) in acc.items():
+            if not (c0 or c1) or e > high:
+                continue
+            if e < low:
+                if strict_low:
+                    raise WindowUnderflowError(f"exponent {e} below {low}")
+                continue
+            kept[e] = (c0, c1)
+        return FractionJetSeries(kept, low, high)
+
+    def __add__(self, other):
+        low, high = self._merged_window(other)
+        acc = {}
+        for src in (self._terms, other._terms):
+            for e, (c0, c1) in src.items():
+                a0, a1 = acc.get(e, (Fraction(0), Fraction(0)))
+                acc[e] = (a0 + c0, a1 + c1)
+        return self._build(acc, low, high, strict_low=False)
+
+    def __neg__(self):
+        return FractionJetSeries(
+            {e: (-c0, -c1) for e, (c0, c1) in self._terms.items()},
+            self.low_cut, self.high_cut)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor):
+        f = _frac(factor)
+        return FractionJetSeries(
+            {e: (f * c0, f * c1) for e, (c0, c1) in self._terms.items()},
+            self.low_cut, self.high_cut)
+
+    def mul(self, other, strict_low=False):
+        low, high = self._merged_window(other)
+        acc = {}
+        for ea, (a0, a1) in self._terms.items():
+            for eb, (b0, b1) in other._terms.items():
+                p0, p1 = acc.get(ea + eb, (Fraction(0), Fraction(0)))
+                acc[ea + eb] = (p0 + a0 * b0, p1 + a0 * b1 + a1 * b0)
+        return self._build(acc, low, high, strict_low)
+
+    def shift(self, k, strict_low=False):
+        acc = {e + k: c for e, c in self._terms.items()}
+        return self._build(acc, self.low_cut, self.high_cut, strict_low)
+
+    def sqrt_one_minus(self):
+        if any(c0 for c0, _ in self._terms.values()):
+            raise ValueError("nonzero t^0 part")
+        acc = {e: (Fraction(0), -c1 / 2) for e, (_, c1) in self._terms.items()}
+        acc[0] = (Fraction(1), acc.get(0, (0, Fraction(0)))[1])
+        return self._build(acc, self.low_cut, self.high_cut, strict_low=False)
+
+    def invert_unit(self):
+        base = [(e, c0) for e, (c0, _) in self._terms.items() if c0]
+        if len(base) != 1:
+            raise ValueError("invert_unit needs a single-monomial t^0 part")
+        e0, c = base[0]
+        acc = {-e0: (1 / c, Fraction(0))}
+        for e, (_, c1) in self._terms.items():
+            if c1:
+                k = e - 2 * e0
+                p0, p1 = acc.get(k, (Fraction(0), Fraction(0)))
+                acc[k] = (p0, p1 - c1 / (c * c))
+        return self._build(acc, self.low_cut, self.high_cut, strict_low=False)
+
+
+WINDOWS = [(-8, 12), (-3, 4), (-1, 2)]
+
+
+def _random_terms(rng, low, high, n_terms, t0=True, t1=True):
+    def value(on):
+        if not on or rng.random() < 0.2:
+            return 0
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+    return {rng.randint(low, high): (value(t0), value(t1))
+            for _ in range(n_terms)}
+
+
+def _pair_of(terms, window):
+    return JetSeries(terms, *window), FractionJetSeries(terms, *window)
+
+
+def _random_pair(rng, window, **kw):
+    return _pair_of(_random_terms(rng, *window, rng.randint(0, 5), **kw),
+                    window)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ValueError, WindowError) as exc:
+        return type(exc)
+
+
+def _assert_matches(new, old):
+    if isinstance(old, type):
+        assert new is old
+        return
+    assert isinstance(new, JetSeries)
+    assert (new.low_cut, new.high_cut) == (old.low_cut, old.high_cut)
+    assert new.terms() == old.terms()
+    for e in range(new.low_cut, new.high_cut + 1):
+        for t in (0, 1):
+            c = new.coefficient(e, t)
+            assert type(c) is Fraction and c == old.coefficient(e, t)
+
+
+SCALARS = [0, 1, -1, 3, Fraction(-3, 7), Fraction(5, 12), Fraction(-1, 12),
+           Fraction(12, 5)]
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=lambda w: f"{w[0]}_{w[1]}")
+def test_ring_operations_match_the_fraction_oracle(window):
+    rng = random.Random(window[1])
+    for _ in range(150):
+        (a, a_old), (b, b_old) = (_random_pair(rng, window) for _ in range(2))
+        (c, c_old) = _random_pair(rng, rng.choice(WINDOWS))
+        _assert_matches(a + b, a_old + b_old)
+        _assert_matches(a - b, a_old - b_old)
+        _assert_matches(a + c, a_old + c_old)
+        _assert_matches(-a, -a_old)
+        for f in SCALARS:
+            _assert_matches(a.scale(f), a_old.scale(f))
+        _assert_matches(a.mul(b), a_old.mul(b_old))
+        _assert_matches(a.mul(c), a_old.mul(c_old))
+        for x, y, x_old, y_old in ((a, b, a_old, b_old), (a, c, a_old, c_old)):
+            _assert_matches(_outcome(lambda: x.mul(y, strict_low=True)),
+                            _outcome(lambda: x_old.mul(y_old, strict_low=True)))
+        for k in range(-6, 7):
+            _assert_matches(a.shift(k), a_old.shift(k))
+            _assert_matches(_outcome(lambda: a.shift(k, strict_low=True)),
+                            _outcome(lambda: a_old.shift(k, strict_low=True)))
+        for t in (0, 1):
+            _assert_matches(a.t_component(t), a_old.t_component(t))
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=lambda w: f"{w[0]}_{w[1]}")
+def test_linear_combination_matches_the_fraction_oracle(window):
+    rng = random.Random(window[0])
+    for _ in range(100):
+        coeffs, shifts, news, olds = [], [], [], []
+        for _ in range(rng.randint(0, 6)):
+            new, old = _random_pair(rng, window)
+            coeffs.append(rng.choice(SCALARS + [Fraction(rng.randint(-9, 9),
+                                                         rng.randint(1, 12))]))
+            shifts.append(rng.randint(-4, 4))
+            news.append(new)
+            olds.append(old)
+        _assert_matches(
+            JetSeries.linear_combination(zip(coeffs, shifts, news), *window),
+            FractionJetSeries.linear_combination(zip(coeffs, shifts, olds),
+                                                 *window))
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=lambda w: f"{w[0]}_{w[1]}")
+def test_special_inverses_match_the_fraction_oracle(window):
+    rng = random.Random(window[1] - window[0])
+    for _ in range(150):
+        u, u_old = _random_pair(rng, window, t0=False)
+        _assert_matches(_outcome(u.sqrt_one_minus),
+                        _outcome(u_old.sqrt_one_minus))
+        a, a_old = _random_pair(rng, window)
+        _assert_matches(_outcome(a.sqrt_one_minus),
+                        _outcome(a_old.sqrt_one_minus))
+        terms = _random_terms(rng, *window, rng.randint(0, 4), t0=False)
+        e0 = rng.randint(*window)
+        terms[e0] = (rng.choice(SCALARS[1:]), terms.get(e0, (0, 0))[1])
+        f, f_old = _pair_of(terms, window)
+        _assert_matches(_outcome(f.invert_unit), _outcome(f_old.invert_unit))
+        _assert_matches(_outcome(a.invert_unit), _outcome(a_old.invert_unit))
+
+
+def test_oracle_cases_reach_both_truncations_and_both_rejections():
+    """Random cases like the ones above do truncate above high_cut, truncate
+    and raise below low_cut, and reject inputs of both special inverses."""
+    rng = random.Random(1)
+    seen = set()
+    for _ in range(300):
+        window = rng.choice(WINDOWS[1:])
+        (a, a_old), (b, b_old) = (_random_pair(rng, window) for _ in range(2))
+        wide = [FractionJetSeries(x._terms, -40, 40) for x in (a_old, b_old)]
+        exps = [e for e, _, _ in wide[0].mul(wide[1]).terms()]
+        if any(e > window[1] for e in exps):
+            seen.add("above high_cut")
+        if any(e < window[0] for e in exps):
+            seen.add("below low_cut")
+            assert _outcome(lambda: a.mul(b, strict_low=True)) \
+                is WindowUnderflowError
+        if _outcome(a.sqrt_one_minus) is ValueError:
+            seen.add("sqrt rejected")
+        if _outcome(a.invert_unit) is ValueError:
+            seen.add("inverse rejected")
+    assert seen == {"above high_cut", "below low_cut", "sqrt rejected",
+                    "inverse rejected"}

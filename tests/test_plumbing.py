@@ -1,5 +1,7 @@
 """Exact residue-chain identities."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -112,6 +114,17 @@ def test_eta_proportionality_detects_unrelated_data():
     assert check.first_mismatch is not None
 
 
+def test_first_mismatch_is_the_lowest_differing_t0_exponent():
+    a = JetSeries({-2: 1, 1: Fraction(1, 2), 3: (2, 5)})
+    b = JetSeries({-2: 1, 1: Fraction(1, 3), 3: 1, 4: (0, 7)})
+    assert plumbing._first_mismatch(a, b) == 1
+    assert plumbing._first_mismatch(b, a.scale(Fraction(2, 3))) == -2
+    assert plumbing._first_mismatch(a, a.scale(1)) is None
+    # t^1 parts do not count
+    assert plumbing._first_mismatch(JetSeries({0: (1, 2)}),
+                                    JetSeries({0: (1, 3)})) is None
+
+
 def test_jet_coefficient_validation():
     with pytest.raises(JetOrderError):
         JetCoefficients({(4, 3): 1})
@@ -158,6 +171,24 @@ def test_verification_report_all_green():
     for identity in report["identities"].values():
         assert identity["failures"] == 0
     assert report["residue_audit"]
+
+
+def test_verifier_golden_digest():
+    """The report of 20 trials and the exact (omega, eta) of the 28 monomial
+    jets of order <= 6 and of 20 random jets are pinned: a change in the
+    series representation cannot move a single coefficient unnoticed."""
+    digest = hashlib.sha256()
+    digest.update(json.dumps(verification_report(trials=20, max_order=6, seed=0),
+                             sort_keys=True).encode())
+    rng = random.Random(0)
+    jets = [JetCoefficients({(m, n): 1}) for m in range(7) for n in range(7 - m)]
+    jets += [random_jet_coefficients(rng) for _ in range(20)]
+    for b in jets:
+        for series in residue_pair(b):
+            digest.update(repr([(e, str(c0), str(c1))
+                                for e, c0, c1 in series.terms()]).encode())
+    assert digest.hexdigest() == \
+        "9db2a30b79948b74727bbd191ebd6d56a174a9eb4f1b97c0a3bcfe6103f2ed5d"
 
 
 def test_higher_order_window_scales():

@@ -5,9 +5,9 @@ matters raises a ``TorelliLabError`` subclass.  No environment reads: every
 setting arrives through a function argument or a command-line flag.  Every
 name the benchmark's tracer rebinds and every exported name exists, so a
 deletion cannot break ``perfbench`` or ``from torelli_lab import *``.  No
-true division in the exact layer of ``binforms``: its coefficients are ints
-wherever they are integral, and ``int / int`` is a float.  Every source file
-is ASCII.
+true division in the exact layer of ``binforms`` or in ``jets.JetSeries``:
+their coefficients and numerators are ints, and ``int / int`` is a float.
+Every source file is ASCII.
 """
 
 import ast
@@ -21,6 +21,7 @@ SOURCES = sorted(Path(torelli_lab.__file__).parent.glob("*.py"))
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 BINFORMS = Path(torelli_lab.__file__).parent / "binforms.py"
+JETS = Path(torelli_lab.__file__).parent / "jets.py"
 # with every ``poly_*`` function, the exact layer of binforms
 EXACT_LAYER = {"_int_primitive", "_to_int_primitive",
                "_gf_gcd_degree", "_gcd_constant_fast", "_pseudo_rem",
@@ -56,18 +57,28 @@ def test_sources_are_ascii():
     assert found == []
 
 
-def test_no_true_division_in_the_exact_layer():
-    tree = ast.parse(BINFORMS.read_text(encoding="utf-8"))
+def _true_divisions(path, names, prefix=None):
+    """True divisions inside the top-level definitions of ``path`` named in
+    ``names`` or starting with ``prefix``; every name must exist."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert EXACT_LAYER <= defs.keys()
+    assert names <= defs.keys()
     layer = [node for name, node in defs.items()
-             if name.startswith("poly_") or name in EXACT_LAYER]
-    found = [f"binforms.py:{node.lineno}: true division in {top.name}"
-             for top in layer for node in ast.walk(top)
-             if isinstance(node, (ast.BinOp, ast.AugAssign))
-             and isinstance(node.op, ast.Div)]
-    assert found == []
+             if name in names or (prefix and name.startswith(prefix))]
+    return [f"{path.name}:{node.lineno}: true division in {top.name}"
+            for top in layer for node in ast.walk(top)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div)]
+
+
+def test_no_true_division_in_the_exact_layer():
+    assert _true_divisions(BINFORMS, EXACT_LAYER, prefix="poly_") == []
+
+
+def test_no_true_division_in_jet_series():
+    # every method of the class, none exempt
+    assert _true_divisions(JETS, {"JetSeries"}) == []
 
 
 def test_traced_and_exported_names_resolve():
