@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import linalg
 from .errors import TorelliLabError, UsageError
@@ -332,17 +331,22 @@ class RoundTripReport:
 
 def match_points(recovered: np.ndarray, truth: np.ndarray) -> MatchReport:
     """Optimal bipartite matching of projective point sets in chordal
-    distance (greedy warm starts are subsumed by the exact assignment).
+    distance; dist[i, j] is the stable form of ``chordal_distance``,
+    broadcast over all pairs.
 
-    dist[i, j] is the stable form of ``chordal_distance``, broadcast over
-    all pairs."""
+    When the rows' nearest neighbours are distinct, that map is itself an
+    optimal assignment: every row sits at its own minimum, so no assignment
+    has a smaller sum.  Otherwise, or on NaN distances, scipy solves it."""
     n = recovered.shape[0]
     rec = recovered / np.linalg.norm(recovered, axis=1, keepdims=True)
     tru = truth / np.linalg.norm(truth, axis=1, keepdims=True)
     inner = rec.conj() @ tru.T
     dist = np.linalg.norm(tru[None, :, :] - inner[:, :, None] * rec[:, None, :],
                           axis=2)
-    rows, cols = linear_sum_assignment(dist)
+    rows, cols = np.arange(n), dist.argmin(axis=1)
+    if np.unique(cols).size < n or np.isnan(dist).any():
+        from scipy.optimize import linear_sum_assignment
+        rows, cols = linear_sum_assignment(dist)
     order = np.empty(n, dtype=int)
     order[rows] = cols
     matched = dist[rows, cols]

@@ -7,12 +7,16 @@ name the benchmark's tracer rebinds and every exported name exists, so a
 deletion cannot break ``perfbench`` or ``from torelli_lab import *``.  No
 true division in the exact layer of ``binforms`` or in ``jets.JetSeries``:
 their coefficients and numerators are ints, and ``int / int`` is a float.
-Every source file is ASCII.
+Every source file is ASCII.  No module imports scipy when it loads: scipy
+costs most of the package's start-up, and only the assignment fallback of
+``recovery.match_points`` needs it, so it is imported there.
 """
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import torelli_lab
@@ -97,3 +101,73 @@ def test_traced_and_exported_names_resolve():
     missing += [name for name in torelli_lab.__all__
                 if not hasattr(torelli_lab, name)]
     assert missing == []
+
+
+def _module_level_imports(body):
+    """Modules that the statements ``body`` import when they run at module
+    load: the top level and the blocks of top-level ``if``, ``try`` and
+    ``with`` statements, but no function or class body."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, node.module or ""
+        elif isinstance(node, (ast.If, ast.Try, getattr(ast, "TryStar", ast.Try),
+                               ast.With)):
+            blocks = [node.body]
+            blocks += [handler.body for handler in getattr(node, "handlers", [])]
+            blocks += [getattr(node, "orelse", []), getattr(node, "finalbody", [])]
+            for block in blocks:
+                yield from _module_level_imports(block)
+
+
+def _scipy_imports(source, name):
+    return [f"{name}:{lineno}: imports {module}"
+            for lineno, module in _module_level_imports(ast.parse(source).body)
+            if module == "scipy" or module.startswith("scipy.")]
+
+
+def test_the_scipy_rule_sees_nested_blocks_but_not_functions():
+    source = """
+if True:
+    from scipy import linalg
+try:
+    import numpy, scipy.optimize
+except ImportError:
+    import scipy
+else:
+    pass
+finally:
+    from scipy.sparse import csr_matrix
+def f():
+    from scipy.optimize import linear_sum_assignment
+class C:
+    import scipy
+"""
+    assert _scipy_imports(source, "m") == [
+        "m:3: imports scipy", "m:5: imports scipy.optimize",
+        "m:7: imports scipy", "m:11: imports scipy.sparse"]
+
+
+def test_no_module_imports_scipy_when_it_loads():
+    found = [v for path in SOURCES
+             for v in _scipy_imports(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+FRESH_ROUNDTRIP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import torelli_lab
+from torelli_lab import recovery
+from torelli_lab.surfaces import make_random_general
+report = recovery.roundtrip(make_random_general(5, 0), 0)
+print(report.status, "scipy" in sys.modules)
+"""
+
+
+def test_a_passing_roundtrip_never_loads_scipy():
+    src = str(Path(torelli_lab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", FRESH_ROUNDTRIP, src],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.split() == ["ok", "False"]
