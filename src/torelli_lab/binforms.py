@@ -11,12 +11,12 @@ still evaluate at complex points.
 Exact decisions (gcd, squarefreeness, multiplicity structure) run on one
 integer kernel: the input is cleared of denominators and content once, and
 the gcd, Yun's decomposition and exact division work on primitive integer
-lists.  The gcd is a primitive pseudo-remainder sequence behind a one-sided
-modular fast path: if the gcd of the reductions mod a prime (not dividing
-the leading coefficients) is constant, the rational gcd is certainly
-constant.  The primes are below 2^31, so the elimination mod p runs on
-int64 arrays.  Numerical roots are companion-matrix eigenvalues polished by
-one Newton step, and every root is checked against a backward-error bound.
+lists.  Every decision is one gcd, by one certified path: the heuristic gcd
+GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989), whose candidate
+is accepted only when it divides both inputs exactly over Z, with the
+primitive pseudo-remainder sequence (PRS) as its only fallback.  Numerical
+roots are companion-matrix eigenvalues polished by one Newton step, and
+every root is checked against a backward-error bound.
 """
 
 from __future__ import annotations
@@ -32,11 +32,8 @@ from .errors import TorelliLabError
 CLUSTER_TOL = 1e-7
 BACKWARD_ERROR_TOL = 1e-9
 
-# Primes for the one-sided "gcd is constant" test, in the order tried: the
-# test uses the first that divides neither leading coefficient.  Each is
-# below 2^31, so a product of two residues is below 2^62 and the elimination
-# runs on int64 arrays without overflow.
-_GCD_PRIMES = (2**31 - 1, 1000000007, 998244353, 2147483629)
+# Evaluation points GCDHEU tries before the PRS fallback.
+_HEU_TRIES = 6
 
 
 class ZeroFormError(TorelliLabError):
@@ -137,50 +134,6 @@ def _to_int_primitive(coeffs):
     return _int_primitive([c.numerator * (den // c.denominator) for c in coeffs])
 
 
-def _gf_gcd_degree(a, b, p):
-    """Degree of the gcd over GF(p) of two integer polynomials, p < 2^31.
-
-    Euclid's algorithm on int64 arrays of residues.  Each divisor is made
-    monic once per stage, so every reduction step is one in-place row update
-    of the dividend (a fresh array, reduced where it lies): a residue times
-    a residue stays below 2^62.
-    """
-    def residues(x):
-        x = np.array([c % p for c in x], dtype=np.int64)
-        nonzero = np.flatnonzero(x)
-        return x[:nonzero[-1] + 1] if len(nonzero) else x[:0]
-
-    a, b = residues(a), residues(b)
-    while len(b) > 1:
-        b = b * pow(int(b[-1]), -1, p) % p
-        n, m = len(a), len(b)
-        while n >= m:
-            seg = a[n - m:n]
-            seg -= a[n - 1] * b
-            seg %= p
-            n -= 1
-            while n and not a[n - 1]:
-                n -= 1
-        a, b = b, a[:n]
-    return 0 if len(b) else len(a) - 1
-
-
-def _gcd_constant_fast(a_int, b_int):
-    """True if the rational gcd is certainly constant, None if undecided.
-
-    Valid one-sided test: for p not dividing either leading coefficient,
-    deg gcd mod p >= deg gcd over Q.
-    """
-    if not a_int or not b_int:
-        return None
-    for p in _GCD_PRIMES:
-        if a_int[-1] % p and b_int[-1] % p:
-            if _gf_gcd_degree(a_int, b_int, p) == 0:
-                return True
-            return None
-    return None
-
-
 def _pseudo_rem(a, b):
     """Pseudo-remainder of integer polynomials (stays over Z)."""
     da, db = len(a) - 1, len(b) - 1
@@ -192,42 +145,61 @@ def _pseudo_rem(a, b):
         for j in range(db + 1):
             r[k + j] -= c * b[j]
         r[db + k] = 0
-    i = len(r) - 1
-    while i >= 0 and r[i] == 0:
-        i -= 1
-    return r[: i + 1]
+    return poly_strip(r)
+
+
+def _heu_gcd(a, b):
+    """GCDHEU on two nonzero primitive integer polynomials: their primitive
+    gcd, or None when no evaluation point gives one.  The gcd of the values
+    at an integer xi > 2 min(|a|, |b|) + 2 (max-norms), read as symmetric
+    xi-adic digits, has a primitive part G that is the gcd exactly when it
+    divides both inputs over Z (Geddes, Czapor & Labahn, Algorithms for
+    Computer Algebra, 1992, 7.7): exact division certifies every answer.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 3
+    for _ in range(_HEU_TRIES):
+        gamma = math.gcd(poly_eval(a, xi), poly_eval(b, xi))
+        digits = []
+        while gamma:
+            d = gamma % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        g = _int_primitive(digits)
+        try:
+            poly_divexact(a, g)
+            poly_divexact(b, g)
+            return g
+        except ArithmeticError:
+            xi = xi * 73794 // 27011
+    return None
 
 
 def poly_gcd(a, b):
-    """Exact gcd over Q, returned as a primitive integer-coefficient list."""
+    """Exact gcd over Q, returned as a primitive integer-coefficient list
+    with a positive leading entry: GCDHEU, else the primitive PRS."""
     ai, bi = _to_int_primitive(a), _to_int_primitive(b)
     if not ai or not bi:
         return ai or bi
+    g = _heu_gcd(ai, bi)
+    if g is not None:
+        return g
     if len(ai) < len(bi):
         ai, bi = bi, ai
-    while bi and len(bi) > 1:
+    while len(bi) > 1:
         r = _pseudo_rem(ai, bi)
         ai, bi = bi, _int_primitive(r)
     return [1] if bi else ai
 
 
-def _gcd_unless_constant(a, b):
-    """The gcd of two nonzero stripped integer polynomials as ``poly_gcd``
-    gives it, or None when the modular fast path proves it constant."""
-    if _gcd_constant_fast(a, b):
-        return None
-    return poly_gcd(a, b)
-
-
 def gcd_is_constant(a, b) -> bool:
-    """Exact decision with the modular fast path."""
+    """Exact decision that two nonzero polynomials have a constant gcd over
+    Q; False when either is zero."""
     a, b = poly_strip(a), poly_strip(b)
     if not a or not b:
         return False
-    if len(a) == 1 or len(b) == 1:
-        return True
-    g = _gcd_unless_constant(_to_int_primitive(a), _to_int_primitive(b))
-    return g is None or poly_degree(g) == 0
+    return poly_degree(poly_gcd(a, b)) == 0
 
 
 def poly_is_squarefree(a) -> bool:
@@ -243,9 +215,8 @@ def squarefree_decomposition(a):
     """Yun decomposition: list of (primitive factor, multiplicity).
 
     The factors are squarefree, pairwise coprime, and their m-th powers
-    multiply to the input up to a rational constant.  The modular fast path
-    recognises most squarefree inputs, so the PRS gcd of (a, a') runs only
-    when it is undecided, and then once: its result starts Yun's loop.  The
+    multiply to the input up to a rational constant.  Yun's loop starts
+    from the one gcd of (a, a'), which also decides squarefreeness.  The
     input is made a primitive integer list first; every divisor Yun meets is
     then primitive, so by Gauss's lemma each quotient is exact over Z and
     each factor comes out primitive.
@@ -256,8 +227,8 @@ def squarefree_decomposition(a):
     if len(a) == 1:
         return []
     da = poly_derivative(a)
-    g = _gcd_unless_constant(a, da)
-    if g is None or poly_degree(g) == 0:
+    g = poly_gcd(a, da)
+    if poly_degree(g) == 0:
         return [(a, 1)]
     w = poly_divexact(a, g)
     y = poly_divexact(da, g)

@@ -336,7 +336,13 @@ def match_points(recovered: np.ndarray, truth: np.ndarray) -> MatchReport:
 
     When the rows' nearest neighbours are distinct, that map is itself an
     optimal assignment: every row sits at its own minimum, so no assignment
-    has a smaller sum.  Otherwise, or on NaN distances, scipy solves it."""
+    has a smaller sum.  Otherwise, or on NaN distances, scipy solves it.
+    Both sets must have the same shape."""
+    if recovered.shape != truth.shape:
+        raise UsageError(
+            f"cannot match {recovered.shape[0]} recovered points of shape "
+            f"{recovered.shape} against {truth.shape[0]} true points of "
+            f"shape {truth.shape}")
     n = recovered.shape[0]
     rec = recovered / np.linalg.norm(recovered, axis=1, keepdims=True)
     tru = truth / np.linalg.norm(truth, axis=1, keepdims=True)

@@ -133,57 +133,51 @@ def test_exact_division_over_z_rejects_a_remainder(a, b):
 
 
 # ---------------------------------------------------------------------------
-# the modular "gcd is constant" test
+# the certified gcd
 # ---------------------------------------------------------------------------
 
-def _gf_gcd_degree_loop(a, b, p):
-    """Degree of the gcd over GF(p) of two lists of residues mod p, by
-    Euclid's algorithm in pure Python: the oracle of the int64 elimination."""
-    a = poly_strip(a)
-    b = poly_strip(b)
-    while b:
-        if len(b) == 1:
-            return 0
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b):
-            c = r[-1] * inv % p
-            k = len(r) - len(b)
-            for j in range(len(b)):
-                r[k + j] = (r[k + j] - c * b[j]) % p
-            r = poly_strip(r)
-            if not r:
-                break
-        a, b = b, r
-    return len(a) - 1
+def _prs_gcd(a, b):
+    """``poly_gcd`` with GCDHEU given no evaluation point, so the primitive
+    PRS alone answers: the oracle of the certified path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binforms, "_HEU_TRIES", 0)
+        return poly_gcd(a, b)
 
 
-def _agrees_with_the_loop(a, b):
-    """The int64 elimination's degree for every prime, checked against the
-    loop's on the reductions."""
-    degrees = []
-    for p in binforms._GCD_PRIMES:
-        degree = binforms._gf_gcd_degree(a, b, p)
-        assert degree == _gf_gcd_degree_loop([c % p for c in a],
-                                             [c % p for c in b], p)
-        degrees.append(degree)
-    return degrees
+def _agrees_with_the_prs(a, b):
+    g = poly_gcd(a, b)
+    assert g == _prs_gcd(a, b)
+    assert g == poly_gcd(b, a)
+    return g
 
 
 @pytest.mark.parametrize("h", range(3, 9))
-def test_int64_elimination_agrees_with_the_loop_on_sampled_surfaces(h):
+def test_poly_gcd_equals_the_prs_on_sampled_surfaces(h):
     for seed in range(5):
         s = make_random_general(h, seed)
         delta = poly_strip(discriminant(s).coeffs)
         w = poly_strip(ramification_form(s).coeffs)
         for a, b in ((delta, poly_derivative(delta)),
                      (w, poly_derivative(w)), (w, delta)):
-            _agrees_with_the_loop(a, b)
+            assert _agrees_with_the_prs(a, b) == [1]
+
+
+def test_poly_gcd_equals_the_prs_on_i2_surfaces():
+    # Delta has a double root at each prescribed I2 point, which W shares
+    degrees = []
+    for r in range(1, 5):
+        s = make_with_I2(3, [0, 1, -1, 2][:r], seed=r)
+        delta = poly_strip(discriminant(s).coeffs)
+        w = poly_strip(ramification_form(s).coeffs)
+        for a, b in ((delta, poly_derivative(delta)),
+                     (w, poly_derivative(w)), (w, delta)):
+            degrees.append(poly_degree(_agrees_with_the_prs(a, b)))
+    assert degrees[0::3] == [1, 2, 3, 4]
+    assert all(d >= r for d, r in zip(degrees[2::3], range(1, 5)))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
-def test_int64_elimination_finds_a_known_gcd_degree(k):
-    # distinct integer roots, far below every prime: the gcd is g mod p
+def test_poly_gcd_finds_a_known_gcd(k):
     g = [1]
     for r in range(1, k + 1):
         g = poly_mul(g, [r, 1])
@@ -191,40 +185,24 @@ def test_int64_elimination_finds_a_known_gcd_degree(k):
     v = poly_mul(poly_mul([-7, 1], [-9, 1]), [-11, 1])
     a = poly_scale(poly_mul(g, u), 5)
     b = poly_scale(poly_mul(g, v), -3)
-    assert _agrees_with_the_loop(a, b) == [k] * len(binforms._GCD_PRIMES)
-    assert _agrees_with_the_loop(b, a) == [k] * len(binforms._GCD_PRIMES)
+    assert _agrees_with_the_prs(a, b) == g
 
 
-def test_int64_elimination_when_coefficients_vanish_mod_p():
-    # z^5 + z^3 + 1 - z^3 (z^2 + 1) = 1: four coefficients vanish at once
-    assert _agrees_with_the_loop([1, 0, 0, 1, 0, 1], [1, 0, 1]) == [0] * 4
-    for p in binforms._GCD_PRIMES:
-        # with b = 2z + 1 made monic, the z coefficient of
-        # a = z^2 + ((p + 1)/2) z + 1 vanishes mod p, though not over Q
-        a, b = [1, (p + 1) // 2, 1], [1, 2]
-        assert binforms._gf_gcd_degree(a, b, p) == 0
-        assert _gf_gcd_degree_loop(a, b, p) == 0
+def test_an_unlucky_evaluation_point_is_rejected_by_exact_division(monkeypatch):
+    # a = z - 1 and b = 3z + 1 are coprime, but at xi = 2 |a| + 3 = 5 their
+    # values 4 and 16 share 4, whose symmetric base-5 digits read z - 1:
+    # that candidate fails to divide b, and at xi = 13 the gcd 4 reads 1
+    a, b = [-1, 1], [1, 3]
+    candidates = []
+    original = binforms.poly_divexact
 
+    def recorded(x, y):
+        candidates.append(list(y))
+        return original(x, y)
 
-def test_gcd_primes_keep_int64_products_exact():
-    for p in binforms._GCD_PRIMES:
-        assert sympy.isprime(p) and p < 2**31
-    assert len(set(binforms._GCD_PRIMES)) == len(binforms._GCD_PRIMES)
-
-
-def test_a_leading_coefficient_divisible_by_the_first_prime_moves_on(monkeypatch):
-    first, second = binforms._GCD_PRIMES[:2]
-    used = []
-    original = binforms._gf_gcd_degree
-
-    def recorded(a, b, p):
-        used.append(p)
-        return original(a, b, p)
-
-    monkeypatch.setattr(binforms, "_gf_gcd_degree", recorded)
-    a = [1, 0, first]                                  # first z^2 + 1
-    assert binforms._gcd_constant_fast(a, poly_derivative(a)) is True
-    assert used == [second]
+    monkeypatch.setattr(binforms, "poly_divexact", recorded)
+    assert poly_gcd(a, b) == [1] == _prs_gcd(a, b)
+    assert candidates == [[-1, 1], [-1, 1], [1], [1]]
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +489,14 @@ def test_poly_gcd_and_decomposition():
 
 def test_squarefree_input_is_decomposed_without_a_prs_gcd(monkeypatch):
     def no_prs(a, b):
-        raise AssertionError("poly_gcd called on a squarefree input")
+        raise AssertionError("PRS step run on a squarefree input")
 
     rng = random.Random(5)
     inputs = [[Fraction(-1), Fraction(0), Fraction(1)],
               poly_strip(transvectant_first(random_exact_form(rng, 8),
                                             random_exact_form(rng, 12)).coeffs)]
-    expected = [poly_gcd(a, a) for a in inputs]      # primitive integer form
-    monkeypatch.setattr(binforms, "poly_gcd", no_prs)
+    expected = [binforms._to_int_primitive(a) for a in inputs]
+    monkeypatch.setattr(binforms, "_pseudo_rem", no_prs)
     for a, prim in zip(inputs, expected):
         assert squarefree_decomposition(a) == [(prim, 1)]
 

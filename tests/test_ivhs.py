@@ -188,16 +188,16 @@ def test_sampled_surface_builds_w_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sampled_surface_runs_the_modular_test_on_delta_and_w_only(monkeypatch):
+def test_sampled_surface_runs_a_gcd_on_delta_and_w_only(monkeypatch):
     pairs = []
-    original = binforms._gf_gcd_degree
+    original = binforms.poly_gcd
 
-    def recorded(a, b, p):
+    def recorded(a, b):
         pairs.append((binforms._to_int_primitive(a),
                       binforms._to_int_primitive(b)))
-        return original(a, b, p)
+        return original(a, b)
 
-    monkeypatch.setattr(binforms, "_gf_gcd_degree", recorded)
+    monkeypatch.setattr(binforms, "poly_gcd", recorded)
     s = make_random_general(5, seed=0)
     synthesize(s, seed=0)
     expected = []

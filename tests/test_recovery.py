@@ -206,6 +206,15 @@ def test_match_points_rejects_a_zero_point_like_the_solver():
             match_points(y, x)
 
 
+@pytest.mark.parametrize("n_rec, n_true", [(5, 3), (3, 5)])
+def test_match_points_rejects_unequal_counts(n_rec, n_true):
+    # more recovered than true points once left unmatched rows unset and
+    # reported a perfect match
+    x = np.eye(5, dtype=complex)
+    with pytest.raises(UsageError, match=f"{n_rec} recovered .* {n_true} true"):
+        match_points(x[:n_rec], x[:n_true])
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------

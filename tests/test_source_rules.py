@@ -7,6 +7,7 @@ name the benchmark's tracer rebinds and every exported name exists, so a
 deletion cannot break ``perfbench`` or ``from torelli_lab import *``.  No
 true division in the exact layer of ``binforms`` or in ``jets.JetSeries``:
 their coefficients and numerators are ints, and ``int / int`` is a float.
+No numpy in that exact layer either: its decisions stay on CPython ints.
 Every source file is ASCII.  No module imports scipy when it loads: scipy
 costs most of the package's start-up, and only the assignment fallback of
 ``recovery.match_points`` needs it, so it is imported there.
@@ -27,10 +28,9 @@ ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 BINFORMS = Path(torelli_lab.__file__).parent / "binforms.py"
 JETS = Path(torelli_lab.__file__).parent / "jets.py"
 # with every ``poly_*`` function, the exact layer of binforms
-EXACT_LAYER = {"_int_primitive", "_to_int_primitive",
-               "_gf_gcd_degree", "_gcd_constant_fast", "_pseudo_rem",
-               "_gcd_unless_constant", "gcd_is_constant",
-               "squarefree_decomposition", "BinaryForm"}
+EXACT_LAYER = {"_int_primitive", "_to_int_primitive", "_pseudo_rem",
+               "_heu_gcd", "gcd_is_constant", "squarefree_decomposition",
+               "BinaryForm"}
 
 
 def _violations(path):
@@ -61,23 +61,36 @@ def test_sources_are_ascii():
     assert found == []
 
 
-def _true_divisions(path, names, prefix=None):
-    """True divisions inside the top-level definitions of ``path`` named in
-    ``names`` or starting with ``prefix``; every name must exist."""
+def _definitions(path, names, prefix=None):
+    """The top-level definitions of ``path`` named in ``names`` or starting
+    with ``prefix``; every name must exist."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert names <= defs.keys()
-    layer = [node for name, node in defs.items()
-             if name in names or (prefix and name.startswith(prefix))]
+    return [node for name, node in defs.items()
+            if name in names or (prefix and name.startswith(prefix))]
+
+
+def _true_divisions(path, names, prefix=None):
+    """True divisions inside ``_definitions(path, names, prefix)``."""
     return [f"{path.name}:{node.lineno}: true division in {top.name}"
-            for top in layer for node in ast.walk(top)
+            for top in _definitions(path, names, prefix)
+            for node in ast.walk(top)
             if isinstance(node, (ast.BinOp, ast.AugAssign))
             and isinstance(node.op, ast.Div)]
 
 
 def test_no_true_division_in_the_exact_layer():
     assert _true_divisions(BINFORMS, EXACT_LAYER, prefix="poly_") == []
+
+
+def test_no_numpy_in_the_exact_layer():
+    found = [f"{BINFORMS.name}:{node.lineno}: np in {top.name}"
+             for top in _definitions(BINFORMS, EXACT_LAYER, prefix="poly_")
+             for node in ast.walk(top)
+             if isinstance(node, ast.Name) and node.id == "np"]
+    assert found == []
 
 
 def test_no_true_division_in_jet_series():

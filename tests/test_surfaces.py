@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from torelli_lab import surfaces
+from torelli_lab import binforms, surfaces
 from torelli_lab.binforms import (
     BinaryForm,
     ProjectivePointP1,
@@ -17,6 +17,7 @@ from torelli_lab.binforms import (
     transvectant_first,
 )
 from torelli_lab.errors import ConsistencyError, UsageError
+from torelli_lab.ramification import ramification_divisor
 from torelli_lab.surfaces import (
     DegenerateSurfaceError,
     Invariants,
@@ -274,18 +275,72 @@ def _digest(surfs):
     return digest.hexdigest()
 
 
+SAMPLER_DIGEST = "a627bb189061c7e1249c3c3d9782546c3fa4d9f6cb38e0d7f9433a0622036740"
+I2_DIGEST = "82c9d0c5d7fa04773372c146b7343c8799fa6ddcc12520875357959b25e6a5ed"
+
+
+def _sampler_set():
+    return [make_random_general(h, s) for h in (3, 4, 5, 6) for s in range(5)]
+
+
+def _i2_set():
+    return [make_with_I2(3, [0, 1, -1, 2][:r], s) for r in range(1, 5)
+            for s in range(5)]
+
+
+def _exact_facts(surfs):
+    """Every exact decision an analysis makes on each surface: the
+    genericity verdict, the squarefree factors of W, and the fibre table,
+    read from the squarefree factors of Delta."""
+    return [(surfaces.genericity(s), surfaces.ramification_factors(s),
+             classify_fibers(s).to_json_dict()) for s in surfs]
+
+
 def test_sampler_golden_digest():
     """The rejection sampler's exact decisions are pinned: a change in which
     draw is accepted moves the digest."""
-    assert _digest(make_random_general(h, s) for h in (3, 4, 5, 6)
-                   for s in range(5)) == \
-        "a627bb189061c7e1249c3c3d9782546c3fa4d9f6cb38e0d7f9433a0622036740"
+    assert _digest(_sampler_set()) == SAMPLER_DIGEST
 
 
 def test_i2_constructor_golden_digest():
-    assert _digest(make_with_I2(3, [0, 1, -1, 2][:r], s) for r in range(1, 5)
-                   for s in range(5)) == \
-        "82c9d0c5d7fa04773372c146b7343c8799fa6ddcc12520875357959b25e6a5ed"
+    assert _digest(_i2_set()) == I2_DIGEST
+
+
+def test_the_prs_fallback_alone_gives_the_same_surfaces_and_facts(monkeypatch):
+    # the sampler's facts are pinned by its digest: every accepted draw is
+    # general by construction
+    certified = _exact_facts(_i2_set())
+    steps = []
+    original = binforms._pseudo_rem
+
+    def counted(a, b):
+        steps.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(binforms, "_HEU_TRIES", 0)
+    monkeypatch.setattr(binforms, "_pseudo_rem", counted)
+    assert _digest(_sampler_set()) == SAMPLER_DIGEST
+    assert steps
+    i2 = _i2_set()
+    assert _digest(i2) == I2_DIGEST
+    assert _exact_facts(i2) == certified
+
+
+def test_every_gcd_of_the_pinned_sets_is_certified_without_the_prs(monkeypatch):
+    def no_prs(a, b):
+        raise AssertionError("a gcd fell back to the PRS")
+
+    monkeypatch.setattr(binforms, "_pseudo_rem", no_prs)
+    for h in (3, 4, 5, 6):                     # criterion 1's surfaces
+        for seed in range(50):
+            s = make_random_general(h, seed=1000 * h + seed)
+            assert ramification_divisor(s).divisor.degree == 10 * h + 8
+    sampled, i2 = _sampler_set(), _i2_set()
+    assert _digest(sampled) == SAMPLER_DIGEST
+    assert _digest(i2) == I2_DIGEST
+    for s in i2:                               # the rest of an analysis
+        ramification_divisor(s)
+    _exact_facts(sampled + i2)
 
 
 def test_make_with_i2_rejects_bad_points():
