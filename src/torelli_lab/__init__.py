@@ -38,7 +38,6 @@ from .ramification import (
 from .recovery import (
     RankOneFactor,
     RecoveredGeometry,
-    RecoveryConfig,
     RoundTripReport,
     extract_rank_ones,
     rank_one_oracle_bruteforce,
@@ -70,7 +69,6 @@ __all__ = [
     "RamificationDivisor",
     "RankOneFactor",
     "RecoveredGeometry",
-    "RecoveryConfig",
     "RoundTripReport",
     "TorelliLabError",
     "UsageError",

@@ -37,6 +37,12 @@ def _stamp(data: dict) -> dict:
     return data
 
 
+def _check_seed(value, flag: str) -> None:
+    """numpy's generators take non-negative seeds only."""
+    if value is not None and value < 0:
+        raise UsageError(f"{flag} must be a non-negative integer, got {value}")
+
+
 def _parse_points(text: str):
     try:
         return [Fraction(tok) for tok in text.split(",") if tok.strip()]
@@ -79,11 +85,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ivhs(args) -> int:
+    _check_seed(args.seed, "--seed")
+    _check_seed(args.frame_seed, "--frame-seed")
     surface = surfaces.load_surface(args.surface)
     presentation, truth = ivhs_mod.synthesize(
-        surface, args.seed, frame_seed=args.frame_seed,
-        lambda_window=(args.lambda_min, args.lambda_max),
-        mixer_cond_max=args.mixer_cond)
+        surface, args.seed, frame_seed=args.frame_seed)
     _emit(ivhs_mod.presentation_to_json_dict(presentation), args.output)
     if args.emit_truth:
         with open(args.emit_truth, "w", encoding="utf-8") as fh:
@@ -93,14 +99,11 @@ def cmd_ivhs(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    _check_seed(args.seed, "--seed")
     presentation = ivhs_mod.load_presentation(args.presentation)
-    config = recovery.RecoveryConfig(
-        confidence_min=args.confidence_min,
-        nullspace_rel_tol=args.nullspace_rel_tol,
-        match_tol=args.match_tol)
-    factors = recovery.extract_rank_ones(presentation, args.seed, config)
+    factors = recovery.extract_rank_ones(presentation, args.seed)
     recovered_dl = recovery.recovered_line_degree(presentation.h, len(factors))
-    geometry = recovery.recover_geometry(factors, presentation.h, config)
+    geometry = recovery.recover_geometry(factors, presentation.h)
     data = _stamp({
         "h": presentation.h,
         "N": presentation.N,
@@ -116,15 +119,14 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _one_roundtrip(surface_h, trial_seed, config, corrupt):
+def _one_roundtrip(surface_h, trial_seed, corrupt):
     try:
         surface = surfaces.make_random_general(surface_h, trial_seed)
     except TorelliLabError as exc:
         return {"h": surface_h, "seed": trial_seed,
                 "status": "error:generate", "message": str(exc)}
     try:
-        report = recovery.roundtrip(surface, trial_seed, config,
-                                    corrupt_span=corrupt)
+        report = recovery.roundtrip(surface, trial_seed, corrupt_span=corrupt)
         return report.to_json_dict()
     except recovery.StageError as exc:
         return {
@@ -136,11 +138,10 @@ def _one_roundtrip(surface_h, trial_seed, config, corrupt):
 
 
 def cmd_roundtrip(args) -> int:
-    config = recovery.RecoveryConfig(
-        confidence_min=args.confidence_min,
-        nullspace_rel_tol=args.nullspace_rel_tol,
-        match_tol=args.match_tol)
-    trials = [_one_roundtrip(args.h, args.seed + k, config, args.corrupt_span)
+    _check_seed(args.seed, "--seed")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    trials = [_one_roundtrip(args.h, args.seed + k, args.corrupt_span)
               for k in range(args.trials)]
     ok = [t for t in trials if t["status"] == "ok"]
     summary = {
@@ -180,6 +181,7 @@ def _tiny_generic_presentation(seed):
 
 
 def cmd_oracle(args) -> int:
+    _check_seed(args.seed, "--seed")
     if args.mode == "built":
         presentation = _tiny_built_presentation()
         expected = 3
@@ -254,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("surface")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frame-seed", type=int, default=None)
-    p.add_argument("--lambda-min", type=float, default=ivhs_mod.LAMBDA_MIN)
-    p.add_argument("--lambda-max", type=float, default=ivhs_mod.LAMBDA_MAX)
-    p.add_argument("--mixer-cond", type=float, default=ivhs_mod.MIXER_COND_MAX)
     p.add_argument("--emit-truth", default=None,
                    help="write the ground truth to this path")
     p.add_argument("-o", "--output", default=None)
@@ -266,12 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rank-one extraction and quadric interpolation")
     p.add_argument("presentation")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--confidence-min", type=float,
-                   default=recovery.DEFAULT_CONFIG.confidence_min)
-    p.add_argument("--nullspace-rel-tol", type=float,
-                   default=recovery.DEFAULT_CONFIG.nullspace_rel_tol)
-    p.add_argument("--match-tol", type=float,
-                   default=recovery.DEFAULT_CONFIG.match_tol)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_recover)
 
@@ -282,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="base seed; trial k uses seed+k")
     p.add_argument("--corrupt-span", action="store_true",
                    help="negative control: perturb the span by a non-rank-1 matrix")
-    p.add_argument("--confidence-min", type=float,
-                   default=recovery.DEFAULT_CONFIG.confidence_min)
-    p.add_argument("--nullspace-rel-tol", type=float,
-                   default=recovery.DEFAULT_CONFIG.nullspace_rel_tol)
-    p.add_argument("--match-tol", type=float,
-                   default=recovery.DEFAULT_CONFIG.match_tol)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_roundtrip)
 

@@ -28,7 +28,12 @@ import numpy as np
 from .binforms import ProjectivePointP1
 from .errors import TorelliLabError, UsageError
 from .ramification import is_general, ramification_divisor
-from .surfaces import WeierstrassSurface, invariants, surface_to_json_dict
+from .surfaces import (
+    WeierstrassSurface,
+    invariants,
+    load_json,
+    surface_to_json_dict,
+)
 
 LAMBDA_MIN = 0.1
 LAMBDA_MAX = 10.0
@@ -143,16 +148,14 @@ def _surface_frame_seed(s: WeierstrassSurface) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def synthesize(s: WeierstrassSurface, seed: int, frame_seed=None,
-               lambda_window=(LAMBDA_MIN, LAMBDA_MAX),
-               mixer_cond_max: float = MIXER_COND_MAX):
+def synthesize(s: WeierstrassSurface, seed: int, frame_seed=None):
     """Forward model: (presentation, ground truth) for a general surface.
 
     The unitary frame is drawn from ``frame_seed`` when given, otherwise
     from a digest of the exact surface data, so that by default the spanned
-    subspace depends only on the surface.  The scalar weights (magnitudes in
-    ``lambda_window``, random phases) and the hiding basis change (condition
-    number <= ``mixer_cond_max``) are drawn from ``seed``.
+    subspace depends only on the surface.  The scalar weights (magnitudes
+    in [``LAMBDA_MIN``, ``LAMBDA_MAX``], random phases) and the hiding basis
+    change (condition number <= ``MIXER_COND_MAX``) are drawn from ``seed``.
     """
     report = is_general(s)
     if not report:
@@ -177,14 +180,9 @@ def synthesize(s: WeierstrassSurface, seed: int, frame_seed=None,
     y_frame = haar_unitary(np.random.default_rng(fs), N)
 
     rng = np.random.default_rng(seed)
-    lo, hi = lambda_window
-    if not (0.0 < lo <= hi):
-        raise UsageError("lambda window must satisfy 0 < lo <= hi")
-    mags = np.exp(rng.uniform(np.log(lo), np.log(hi), size=N))
+    mags = np.exp(rng.uniform(np.log(LAMBDA_MIN), np.log(LAMBDA_MAX), size=N))
     lambdas = mags * np.exp(2j * np.pi * rng.uniform(size=N))
-    if mixer_cond_max < 1.0:
-        raise UsageError("mixer condition bound must be >= 1")
-    cond = np.exp(rng.uniform(0.0, np.log(mixer_cond_max)))
+    cond = np.exp(rng.uniform(0.0, np.log(MIXER_COND_MAX)))
     svals = np.exp(np.linspace(0.0, -np.log(cond), N))
     mixer = (haar_unitary(rng, N) * svals) @ haar_unitary(rng, N).conj().T
 
@@ -266,5 +264,4 @@ def truth_to_json_dict(t: GroundTruth) -> dict:
 
 
 def load_presentation(path) -> IVHSPresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return presentation_from_json_dict(json.load(fh))
+    return presentation_from_json_dict(load_json(path))

@@ -252,7 +252,14 @@ def random_jet_coefficients(rng: random.Random, max_order: int = MAX_ORDER_DEFAU
 
 def verification_report(trials: int = 200, max_order: int = MAX_ORDER_DEFAULT,
                         seed: int = 0) -> dict:
-    """Run every identity on random jet data; everything asserted exactly."""
+    """Run every identity on random jet data; everything asserted exactly.
+
+    ``UsageError`` when ``trials < 1`` or ``max_order < 0``, which would
+    check nothing and still report "ok"."""
+    if trials < 1 or max_order < 0:
+        raise UsageError(
+            f"the verifier needs trials >= 1 and max_order >= 0, got "
+            f"trials = {trials} and max_order = {max_order}")
     rng = random.Random(seed)
     identities = {
         "closed_forms": {"trials": 0, "failures": 0, "first_failure": None},

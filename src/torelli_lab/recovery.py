@@ -16,6 +16,11 @@ curve; the curve itself is recovered as the intersection of the quadrics
 through them, computed as the nullspace of the degree-2 Veronese evaluation
 matrix.  A brute-force oracle (multi-start alternating projection onto the
 rank-1 variety) cross-checks the extraction on tiny instances.
+
+The thresholds are module constants, not settings: ``CONFIDENCE_MIN`` for
+the rank-1 confidence of every extracted slice, ``NULLSPACE_REL_TOL`` for
+the quadric nullspace cut and ``MATCH_TOL`` for the round trip's chordal
+match against the ground truth.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ from .surfaces import WeierstrassSurface, degree_gate_ok, invariants
 
 EXTRACTION_RETRIES = 10
 EIG_GAP_MIN = 1e-6
+# The recovery thresholds, validated for h <= 8, N <= 88: the tests extract
+# and interpolate up to h = 8, the size of the benchmark's recovery workload.
+CONFIDENCE_MIN = 0.999
+NULLSPACE_REL_TOL = 1e-8
+MATCH_TOL = 1e-6
 CONTRACTION_COND_MAX = 1e8
 ORACLE_SIGMA_RATIO = 1e-8
 ORACLE_STARTS_PER_DIM = 120
@@ -59,20 +69,6 @@ class StageError(TorelliLabError):
     def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Tolerances of the pipeline (defaults validated for h <= 8, N <= 88:
-    the tests extract and interpolate up to h = 8, the size of the
-    benchmark's recovery workload)."""
-
-    confidence_min: float = 0.999
-    nullspace_rel_tol: float = 1e-8
-    match_tol: float = 1e-6
-
-
-DEFAULT_CONFIG = RecoveryConfig()
 
 
 @dataclass(frozen=True)
@@ -110,10 +106,9 @@ def _factor_order(x: np.ndarray) -> np.ndarray:
     return np.lexsort(keys.T[::-1])
 
 
-def extract_rank_ones(presentation: IVHSPresentation, seed: int,
-                      config: RecoveryConfig = DEFAULT_CONFIG):
+def extract_rank_ones(presentation: IVHSPresentation, seed: int):
     """All N rank-1 factors of the presentation, each with confidence above
-    the acceptance threshold, or ``DegeneratePresentationError``."""
+    ``CONFIDENCE_MIN``, or ``DegeneratePresentationError``."""
     basis = presentation.basis
     n, h = presentation.N, presentation.h
     if n < 2:
@@ -160,7 +155,7 @@ def extract_rank_ones(presentation: IVHSPresentation, seed: int,
         _, s, vh = np.linalg.svd(tall, full_matrices=False)
         ratio = np.divide(s[:, 1], s[:, 0], out=np.ones(n), where=s[:, 0] > 0)
         confidences = 1.0 - ratio
-        if np.all(confidences > config.confidence_min):
+        if np.all(confidences > CONFIDENCE_MIN):
             xs = normalize_phase_rows(vh[:, 0, :])
             ys = normalize_phase_rows(y_frame.T)
             return [RankOneFactor(x=xs[k], y=ys[k],
@@ -264,16 +259,16 @@ def expected_quadric_dimension(h: int) -> int:
     return (h - 1) * (h - 2) // 2
 
 
-def recover_geometry(factors, h: int,
-                     config: RecoveryConfig = DEFAULT_CONFIG) -> RecoveredGeometry:
-    """Quadric interpolation through the recovered points of P^(h-1)."""
+def recover_geometry(factors, h: int) -> RecoveredGeometry:
+    """Quadric interpolation through the recovered points of P^(h-1), with
+    the nullspace cut at ``NULLSPACE_REL_TOL``."""
     n = len(factors)
     expected_n = 10 * h + 8
     if n != expected_n:
         raise UsageError(
             f"expected N = 10h+8 = {expected_n} factors for h = {h}, got {n}")
     z = np.vstack([f.x for f in factors])
-    null = linalg.nullspace(_veronese2(z), config.nullspace_rel_tol)
+    null = linalg.nullspace(_veronese2(z), NULLSPACE_REL_TOL)
     dim = null.shape[1]
     if dim != expected_quadric_dimension(h):
         raise InterpolationDimensionError(
@@ -390,7 +385,6 @@ def recovered_line_degree(h: int, n: int) -> int:
 
 
 def roundtrip(s: WeierstrassSurface, seed: int,
-              config: RecoveryConfig = DEFAULT_CONFIG,
               corrupt_span: bool = False) -> RoundTripReport:
     """Forward synthesis, extraction, interpolation, and ground-truth match.
 
@@ -420,17 +414,15 @@ def roundtrip(s: WeierstrassSurface, seed: int,
         basis[-1] = basis[-1] + noise * np.linalg.norm(basis[-1]) / np.linalg.norm(noise)
         presentation = IVHSPresentation(
             h=inv.h, N=inv.N, basis=basis, gram=presentation.gram)
-    factors = run("extract", lambda: extract_rank_ones(
-        presentation, seed, config))
+    factors = run("extract", lambda: extract_rank_ones(presentation, seed))
     recovered_dl = recovered_line_degree(presentation.h, len(factors))
-    geometry = run("recover", lambda: recover_geometry(
-        factors, inv.h, config))
+    geometry = run("recover", lambda: recover_geometry(factors, inv.h))
     truth_x = np.vstack([ep.x for ep in truth.points])
     match = run("match", lambda: match_points(geometry.z_points, truth_x))
-    if match.max_chordal > config.match_tol:
+    if match.max_chordal > MATCH_TOL:
         raise StageError(
             "match", f"match: recovered points miss the ground truth "
-            f"(max chordal {match.max_chordal:.3e} > {config.match_tol})")
+            f"(max chordal {match.max_chordal:.3e} > {MATCH_TOL})")
 
     rng = np.random.default_rng(seed + 2 * 10**6)
     samples = _curve_samples(inv.h, CURVE_SAMPLES, rng)

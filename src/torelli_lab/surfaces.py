@@ -560,6 +560,15 @@ def save_surface(s: WeierstrassSurface, path) -> None:
         fh.write("\n")
 
 
-def load_surface(path) -> WeierstrassSurface:
+def load_json(path):
+    """The JSON value in the file at ``path``; ``UsageError`` naming the path
+    when the file is not UTF-8 JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        return surface_from_json_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise UsageError(f"{path} is not a JSON file: {exc}") from exc
+
+
+def load_surface(path) -> WeierstrassSurface:
+    return surface_from_json_dict(load_json(path))

@@ -1,13 +1,15 @@
 """Command-line front end: exit codes, determinism, file flows."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from torelli_lab import ivhs
-from torelli_lab.cli import main
+from torelli_lab.cli import build_parser, main
 from torelli_lab.surfaces import make_with_I2, save_surface
 
 
@@ -231,3 +233,87 @@ def test_module_entrypoint_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "ok"
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """A valid surface and presentation, a text file that is not JSON and a
+    file that is not UTF-8."""
+    root = tmp_path_factory.mktemp("inputs")
+    files = {name: root / f"{name}.json"
+             for name in ("surface", "presentation", "text", "binary")}
+    assert main(["generate", "--h", "3", "--seed", "1",
+                 "-o", str(files["surface"])]) == 0
+    assert main(["ivhs", str(files["surface"]),
+                 "-o", str(files["presentation"])]) == 0
+    files["text"].write_text("{not json", encoding="utf-8")
+    files["binary"].write_bytes(b"\xff\xfe\x00")
+    return files
+
+
+USAGE_ERRORS = [
+    ["ivhs", "{surface}", "--seed", "-1"],
+    ["ivhs", "{surface}", "--frame-seed", "-1"],
+    ["recover", "{presentation}", "--seed", "-1"],
+    ["roundtrip", "--h", "3", "--seed", "-1"],
+    ["oracle", "--seed", "-1"],
+    ["plumb-verify", "--trials", "-3", "--order", "-1"],
+    ["plumb-verify", "--trials", "0"],
+    ["plumb-verify", "--trials", "2", "--order", "-1"],
+    ["roundtrip", "--h", "3", "--trials", "0"],
+    ["roundtrip", "--h", "3", "--trials", "-2"],
+    ["analyze", "{text}"],
+    ["ivhs", "{text}"],
+    ["recover", "{text}"],
+    ["analyze", "{binary}"],
+    ["recover", "{binary}"],
+]
+
+# the recovery thresholds and the forward-model bounds are module constants
+DELETED_FLAGS = [
+    ["ivhs", "{surface}", "--lambda-min", "0.1"],
+    ["ivhs", "{surface}", "--lambda-max", "10"],
+    ["ivhs", "{surface}", "--mixer-cond", "100"],
+    ["recover", "{presentation}", "--confidence-min", "0.999"],
+    ["recover", "{presentation}", "--nullspace-rel-tol", "1e-8"],
+    ["recover", "{presentation}", "--match-tol", "1e-6"],
+    ["roundtrip", "--h", "3", "--confidence-min", "0.999"],
+    ["roundtrip", "--h", "3", "--nullspace-rel-tol", "1e-8"],
+    ["roundtrip", "--h", "3", "--match-tol", "1e-6"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, marker",
+    [(a, "error:usage: ") for a in USAGE_ERRORS]
+    + [(a, "unrecognized arguments") for a in DELETED_FLAGS],
+    ids=[" ".join(a) for a in USAGE_ERRORS + DELETED_FLAGS])
+def test_bad_input_is_a_usage_error_without_a_traceback(input_files, argv,
+                                                         marker):
+    argv = [a.format(**{k: str(v) for k, v in input_files.items()})
+            for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "torelli_lab", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert marker in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_each_subcommand_has_exactly_its_pinned_options():
+    # A new flag needs a caller that passes it a value other than its
+    # default; a value that only ever takes its default is a module constant.
+    out = {"-h", "--help", "-o", "--output"}
+    pinned = {
+        "generate": out | {"--h", "--seed", "--i2"},
+        "analyze": out,
+        "ivhs": out | {"--seed", "--frame-seed", "--emit-truth"},
+        "recover": out | {"--seed"},
+        "roundtrip": out | {"--h", "--trials", "--seed", "--corrupt-span"},
+        "plumb-verify": out | {"--order", "--trials", "--seed"},
+        "oracle": out | {"--mode", "--seed"},
+    }
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert {name: {opt for action in sub._actions
+                   for opt in action.option_strings}
+            for name, sub in commands.items()} == pinned

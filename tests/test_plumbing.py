@@ -165,6 +165,12 @@ def test_jets_json_roundtrip():
     assert jets_from_json_dict(data) == b
 
 
+@pytest.mark.parametrize("trials, max_order", [(0, 6), (-3, 6), (1, -1)])
+def test_verification_report_rejects_an_empty_run(trials, max_order):
+    with pytest.raises(UsageError):
+        verification_report(trials=trials, max_order=max_order)
+
+
 def test_verification_report_all_green():
     report = verification_report(trials=25, seed=3)
     assert report["status"] == "ok"

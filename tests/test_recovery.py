@@ -18,9 +18,10 @@ from torelli_lab.ivhs import (
 )
 from torelli_lab.linalg import nullspace
 from torelli_lab.recovery import (
+    CONFIDENCE_MIN,
     CONTRACTION_COND_MAX,
-    DEFAULT_CONFIG,
     EIG_GAP_MIN,
+    NULLSPACE_REL_TOL,
     DegeneratePresentationError,
     InterpolationDimensionError,
     RankOneFactor,
@@ -388,7 +389,7 @@ def test_roundtrip_dropped_factor_fits_no_admissible_genus(monkeypatch):
 # the vectorized extraction and interpolation against their loop forms
 # ---------------------------------------------------------------------------
 
-def _loop_extract_rank_ones(presentation, seed, config=DEFAULT_CONFIG):
+def _loop_extract_rank_ones(presentation, seed):
     """The extractor written with one einsum and one full SVD per slice:
     the loop-form reference the batched extractor must reproduce."""
     basis = presentation.basis
@@ -424,7 +425,7 @@ def _loop_extract_rank_ones(presentation, seed, config=DEFAULT_CONFIG):
         for k in range(n):
             u, s, _ = np.linalg.svd(slices[k])
             confidence = float(1.0 - s[1] / s[0]) if s[0] > 0 else 0.0
-            if confidence <= config.confidence_min:
+            if confidence <= CONFIDENCE_MIN:
                 break
             factors.append(RankOneFactor(
                 x=normalize_phase(u[:, 0]),
@@ -437,12 +438,12 @@ def _loop_extract_rank_ones(presentation, seed, config=DEFAULT_CONFIG):
     raise DegeneratePresentationError("no rank-1 frame found")
 
 
-def _loop_quadrics(factors, h, config=DEFAULT_CONFIG):
+def _loop_quadrics(factors, h):
     """The quadric basis built entry by entry from the nullspace of the
     Veronese rows: the loop-form reference of ``recover_geometry``."""
     z = np.vstack([f.x for f in factors])
     rows = np.vstack([_veronese2(z[i]) for i in range(len(z))])
-    null = nullspace(rows, config.nullspace_rel_tol)
+    null = nullspace(rows, NULLSPACE_REL_TOL)
     quadrics = []
     for j in range(null.shape[1]):
         q = np.zeros((h, h), dtype=complex)
