@@ -46,7 +46,7 @@ def _check_seed(value, flag: str) -> None:
 def _parse_points(text: str):
     try:
         return [Fraction(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"could not parse --i2 points: {exc}") from exc
 
 
@@ -141,6 +141,7 @@ def cmd_roundtrip(args) -> int:
     _check_seed(args.seed, "--seed")
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    surfaces.check_degree_gate(args.h, 0)
     trials = [_one_roundtrip(args.h, args.seed + k, args.corrupt_span)
               for k in range(args.trials)]
     ok = [t for t in trials if t["status"] == "ok"]
@@ -230,8 +231,17 @@ def cmd_oracle(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections (unknown flag, malformed or
+    missing value) carry the ``error:usage:`` prefix of every usage error.
+    ``add_subparsers`` builds the subcommand parsers with this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error:usage: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torelli-lab",
         description="Weierstrass surfaces over P^1: ramification divisors, "
                     "synthetic period data, rank-one recovery, and exact "

@@ -5,11 +5,12 @@ coordinate ``q``, carrying a first-order deformation parameter ``t`` that is
 truncated structurally modulo ``t**2``.  Coefficients are exact rationals,
 held as integer numerators over one positive common denominator in lowest
 terms, so the arithmetic runs on ints and ``Fraction`` appears only at the
-boundary: the constructor takes ints and Fractions, and ``coefficient``,
-``terms`` and ``repr`` give Fractions back.  Exponents are confined to a
-hard window ``[low_cut, high_cut]``; exponents outside the window are
-truncated silently unless the caller marks them as significant.  Every
-operation is pure and exact; floats are rejected.
+boundary: the constructor takes ints and Fractions (``from_numerators`` and
+``linear_combination`` take integer numerators over one denominator), and
+``coefficient``, ``terms`` and ``repr`` give Fractions back.  Exponents are
+confined to a hard window ``[low_cut, high_cut]``; exponents outside the
+window are truncated silently unless the caller marks them as significant.
+Every operation is pure and exact; floats are rejected.
 """
 
 from __future__ import annotations
@@ -39,6 +40,24 @@ def _rat(value) -> Fraction:
     return Fraction(value)
 
 
+def _check_window(exponents, low_cut, high_cut) -> None:
+    """``WindowError`` for an empty window or an exponent outside it."""
+    if low_cut > high_cut:
+        raise WindowError(f"empty window [{low_cut}, {high_cut}]")
+    for e in exponents:
+        if e < low_cut or e > high_cut:
+            raise WindowError(
+                f"exponent {e} outside window [{low_cut}, {high_cut}]")
+
+
+def _positive_int(den) -> int:
+    if not isinstance(den, int):
+        raise TypeError("a JetSeries denominator is an int")
+    if den < 1:
+        raise ValueError(f"a JetSeries denominator is positive, got {den}")
+    return den
+
+
 def _pair(value):
     if isinstance(value, tuple):
         c0, c1 = value
@@ -62,14 +81,10 @@ class JetSeries:
 
     def __init__(self, terms=None, low_cut: int = DEFAULT_LOW_CUT,
                  high_cut: int = DEFAULT_HIGH_CUT):
-        if low_cut > high_cut:
-            raise WindowError(f"empty window [{low_cut}, {high_cut}]")
+        terms = {int(e): value for e, value in (terms or {}).items()}
+        _check_window(terms, low_cut, high_cut)
         pairs = {}
-        for e, value in (terms or {}).items():
-            e = int(e)
-            if e < low_cut or e > high_cut:
-                raise WindowError(
-                    f"exponent {e} outside window [{low_cut}, {high_cut}]")
+        for e, value in terms.items():
             c0, c1 = _pair(value)
             if c0 or c1:
                 pairs[e] = (c0, c1)
@@ -126,33 +141,54 @@ class JetSeries:
         return cls({exponent: (c0, c1)}, low_cut, high_cut)
 
     @classmethod
-    def linear_combination(cls, parts, low_cut: int, high_cut: int
-                           ) -> "JetSeries":
-        """``sum coeff * q**k * series`` over ``(coeff, k, series)`` parts,
-        accumulated in one pass over one common denominator.
+    def from_numerators(cls, num, den: int, low_cut: int, high_cut: int
+                        ) -> "JetSeries":
+        """The series ``sum (n0 + t*n1) / den * q**e`` over the integer
+        pairs ``num[e] = (n0, n1)``, for an integer ``den > 0``.
 
-        Equal to adding up ``series.shift(k).scale(coeff)`` for series on
-        the window ``[low_cut, high_cut]``: shifted exponents outside the
-        window are dropped as :meth:`shift` drops them, zero coefficients
-        and zero series contribute nothing, and terms that cancel are not
-        stored.
+        The constructor on integers: an exponent outside the window is a
+        :class:`WindowError` even where its pair is zero, and the result
+        is put in lowest terms by one gcd pass.
         """
-        # (numerator, denominator, shift, numerators) of each nonzero part
+        _check_window(num, low_cut, high_cut)
+        kept = {}
+        for e, (n0, n1) in num.items():
+            if not (isinstance(n0, int) and isinstance(n1, int)):
+                raise TypeError("JetSeries numerators are ints")
+            if n0 or n1:
+                kept[e] = (n0, n1)
+        return cls._reduced(kept, _positive_int(den), low_cut, high_cut)
+
+    @classmethod
+    def linear_combination(cls, parts, den: int, low_cut: int, high_cut: int
+                           ) -> "JetSeries":
+        """``sum (n / den) * q**k * series`` over ``(n, k, series)`` parts
+        with integer ``n`` and one integer ``den > 0``, accumulated in one
+        pass over one common denominator.
+
+        Equal to adding up ``series.shift(k).scale(Fraction(n, den))`` for
+        series on the window ``[low_cut, high_cut]``: shifted exponents
+        outside the window are dropped as :meth:`shift` drops them, zero
+        numerators and zero series contribute nothing, and terms that
+        cancel are not stored.
+        """
+        # (numerator, series denominator, shift, numerators) of each part
         ints = []
-        for coeff, k, series in parts:
-            coeff = _rat(coeff)
-            if coeff and series._num:
-                ints.append((coeff.numerator, coeff.denominator * series._den,
-                             k, series._num))
-        den = lcm(*[d for _, d, _, _ in ints])
+        for n, k, series in parts:
+            if not isinstance(n, int):
+                raise TypeError("linear_combination takes integer numerators")
+            if n and series._num:
+                ints.append((n, series._den, k, series._num))
+        common = lcm(*[d for _, d, _, _ in ints])
         acc = {}
         for n, d, k, num in ints:
-            f = n * (den // d)
+            f = n * (common // d)
             for e, (n0, n1) in num.items():
                 e += k
                 a0, a1 = acc.get(e, (0, 0))
                 acc[e] = (a0 + f * n0, a1 + f * n1)
-        return cls._build(acc, den, low_cut, high_cut, strict_low=False)
+        return cls._build(acc, _positive_int(den) * common, low_cut, high_cut,
+                          strict_low=False)
 
     # ---- inspection ----------------------------------------------------
 

@@ -23,6 +23,13 @@ The factors that do not depend on the jet, the prefactor and the powers
 v^(n-1), are built once per exponent window and shared.  Each jet's chain
 sums its terms in one pass and takes one product with the prefactor; every
 identity is checked on chains of its own, never derived from another chain.
+
+Jet coefficients are held as integer numerators over one common
+denominator, as the series are, so the jet arithmetic, the chain and the
+closed forms run on ints.  ``Fraction`` appears only at the boundary: the
+``JetCoefficients`` constructor takes ints and Fractions, ``b[key]``,
+``b.b`` and ``items()`` give Fractions back, and the report compares and
+prints Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import UsageError
 from .jets import (
@@ -51,12 +58,18 @@ class JetOrderError(UsageError):
 
 class JetCoefficients:
     """Finitely supported exact coefficients b[m, n], m, n >= 0,
-    m + n <= max_order."""
+    m + n <= max_order.
 
-    __slots__ = ("b", "max_order")
+    ``_num`` maps ``(m, n)`` to the integer numerator of b[m, n] over the
+    common denominator ``_den > 0``.  Absent keys are zero, and the form is
+    canonical: no stored numerator is 0, ``gcd(_den, every numerator) ==
+    1``, and ``_den == 1`` for the zero jet.
+    """
+
+    __slots__ = ("max_order", "_num", "_den")
 
     def __init__(self, b, max_order: int = MAX_ORDER_DEFAULT):
-        clean = {}
+        ratios = {}
         for (m, n), value in dict(b).items():
             m, n = int(m), int(n)
             if m < 0 or n < 0:
@@ -64,36 +77,76 @@ class JetCoefficients:
             if m + n > max_order:
                 raise JetOrderError(
                     f"jet index ({m}, {n}) exceeds max_order {max_order}")
-            value = _rat(value)
+            if not isinstance(value, (int, Fraction)):
+                value = _rat(value)
             if value:
-                clean[(m, n)] = value
-        object.__setattr__(self, "b", clean)
-        object.__setattr__(self, "max_order", int(max_order))
+                ratios[(m, n)] = (value.numerator, value.denominator)
+        # the lcm of reduced denominators leaves the numerators in lowest terms
+        den = lcm(*(d for _, d in ratios.values()))
+        self._init({key: p * (den // d) for key, (p, d) in ratios.items()},
+                   den, int(max_order))
+
+    def _init(self, num, den, max_order):
+        object.__setattr__(self, "max_order", max_order)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _reduced(cls, num, den, max_order) -> "JetCoefficients":
+        """The jet ``num / den`` for ``den > 0`` and nonzero numerators,
+        put in lowest terms by one gcd over the denominator and numerators."""
+        g = den
+        for k in num.values():
+            g = gcd(g, k)
+            if g == 1:
+                break
+        else:
+            # g divides everything; for the zero jet g == den
+            num = {key: k // g for key, k in num.items()}
+            den //= g
+        out = object.__new__(cls)
+        out._init(num, den, max_order)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("JetCoefficients is immutable")
 
+    @property
+    def b(self) -> dict:
+        """The nonzero coefficients as a new dict ``{(m, n): Fraction}``."""
+        return {key: Fraction(k, self._den) for key, k in self._num.items()}
+
     def __getitem__(self, key) -> Fraction:
-        return self.b.get(key, Fraction(0))
+        return Fraction(self._num.get(key, 0), self._den)
 
     def items(self):
         return sorted(self.b.items())
 
     def scale(self, factor) -> "JetCoefficients":
-        factor = Fraction(factor)
-        return JetCoefficients({k: factor * v for k, v in self.b.items()},
-                               self.max_order)
+        """Multiply every coefficient by the rational ``factor``."""
+        if not isinstance(factor, (int, Fraction)):
+            factor = Fraction(factor)
+        p = factor.numerator
+        num = {key: p * k for key, k in self._num.items()} if p else {}
+        return self._reduced(num, self._den * factor.denominator,
+                             self.max_order)
 
     def __add__(self, other: "JetCoefficients") -> "JetCoefficients":
-        out = dict(self.b)
-        for k, v in other.b.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return JetCoefficients(out, max(self.max_order, other.max_order))
+        if not isinstance(other, JetCoefficients):
+            return NotImplemented
+        den = lcm(self._den, other._den)
+        f = den // self._den
+        acc = {key: f * k for key, k in self._num.items()}
+        f = den // other._den
+        for key, k in other._num.items():
+            acc[key] = acc.get(key, 0) + f * k
+        return self._reduced({key: k for key, k in acc.items() if k}, den,
+                             max(self.max_order, other.max_order))
 
     def __eq__(self, other):
         if not isinstance(other, JetCoefficients):
             return NotImplemented
-        return self.b == other.b
+        return self._den == other._den and self._num == other._num
 
 
 def _window_for(max_order: int):
@@ -140,7 +193,7 @@ def residue_pair(b: JetCoefficients, low_cut=None, high_cut=None):
 
     prefactor, v_pows = _chain_factors(low, high, b.max_order)
     total = JetSeries.linear_combination(
-        ((coeff, m, v_pows[n]) for (m, n), coeff in b.b.items()), low, high)
+        ((k, m, v_pows[n]) for (m, n), k in b._num.items()), b._den, low, high)
     result = prefactor.mul(total)
     return result.t_component(0), result.t_component(1)
 
@@ -150,19 +203,16 @@ def closed_form_pair(b: JetCoefficients, low_cut=None, high_cut=None):
     low0, high0 = _window_for(b.max_order)
     low = low0 if low_cut is None else int(low_cut)
     high = high0 if high_cut is None else int(high_cut)
-    # integer numerators over den for omega and over 4*den for eta
-    den = lcm(*(coeff.denominator for coeff in b.b.values()))
+    # integer numerators over _den for omega and over 4*_den for eta
     omega = {}
     eta = {}
-    for (m, n), coeff in b.b.items():
+    for (m, n), k in b._num.items():
         e = m + n
-        k = coeff.numerator * (den // coeff.denominator)
         omega[e] = omega.get(e, 0) - k
         eta[e - 2] = eta.get(e - 2, 0) + (2 * n - 1) * k
-    return (JetSeries({e: Fraction(k, den) for e, k in omega.items()},
-                      low, high),
-            JetSeries({e: Fraction(k, 4 * den) for e, k in eta.items()},
-                      low, high))
+    return tuple(JetSeries.from_numerators({e: (k, 0) for e, k in num.items()},
+                                           den, low, high)
+                 for num, den in ((omega, b._den), (eta, 4 * b._den)))
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,12 @@ def degree_gate_ok(h: int, q: int) -> bool:
     return h >= q + 3 and 8 * h > 10 * (q - 1)
 
 
+def check_degree_gate(h: int, q: int) -> None:
+    """``SurfaceGateError`` unless (h, q) passes the inequality gate."""
+    if not degree_gate_ok(h, q):
+        raise SurfaceGateError(f"gate h >= q+3 fails: h = {h}, q = {q}")
+
+
 @dataclass(frozen=True)
 class Invariants:
     """Numerical invariants derived from the geometric genus h and the
@@ -139,9 +145,7 @@ class WeierstrassSurface:
                 f"expected degrees ({4 * dL}, {6 * dL}), "
                 f"got ({g4.degree}, {g6.degree})")
         h = dL - 1 + q
-        if not degree_gate_ok(h, q):
-            raise SurfaceGateError(
-                f"gate h >= q+3 fails: h = {h}, q = {q}")
+        check_degree_gate(h, q)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "dL", dL)
         object.__setattr__(self, "g4", g4)
@@ -401,8 +405,7 @@ def make_random_general(h: int, seed: int) -> WeierstrassSurface:
     """Random surface with all fibres of type I1 and a reduced ramification
     divisor disjoint from the discriminant locus; deterministic in ``seed``."""
     q = 0
-    if not degree_gate_ok(h, q):
-        raise SurfaceGateError(f"gate h >= q+3 fails: h = {h}, q = {q}")
+    check_degree_gate(h, q)
     dL = h + 1 - q
     rng = random.Random(seed)
     for _ in range(REJECTION_BUDGET):
@@ -463,8 +466,7 @@ def make_with_I2(h: int, points, seed: int) -> WeierstrassSurface:
     prescribed point and each point is a root of the ramification form.
     """
     q = 0
-    if not degree_gate_ok(h, q):
-        raise SurfaceGateError(f"gate h >= q+3 fails: h = {h}, q = {q}")
+    check_degree_gate(h, q)
     pts = [Fraction(p) for p in points]
     r = len(pts)
     if not (1 <= r <= 4):

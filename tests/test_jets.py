@@ -3,6 +3,7 @@ the integer representation against a ``Fraction``-dict oracle."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -153,6 +154,27 @@ def test_canonical_form_cancellation_gives_the_zero_series():
             assert z.terms() == [] and repr(z) == "JetSeries(0)"
 
 
+def test_from_numerators_is_the_constructor_on_integers():
+    rng = random.Random(21)
+    for _ in range(40):
+        den = rng.randint(1, 36)
+        num = {e: (rng.randint(-9, 9) * rng.randint(0, 1), rng.randint(-9, 9))
+               for e in range(rng.randint(-8, 0), rng.randint(0, 12))}
+        s = JetSeries.from_numerators(num, den, -8, 12)
+        assert s == JetSeries({e: (Fraction(n0, den), Fraction(n1, den))
+                               for e, (n0, n1) in num.items()})
+    # a zero pair outside the window is still outside it
+    for num, window in (({13: (0, 0)}, (-8, 12)), ({-9: (1, 0)}, (-8, 12)),
+                        ({}, (1, 0))):
+        with pytest.raises(WindowError):
+            JetSeries.from_numerators(num, 1, *window)
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            JetSeries.from_numerators({0: (1, 0)}, den, -8, 12)
+        with pytest.raises(ValueError):
+            JetSeries.linear_combination([(1, 0, JetSeries.one())], den, -8, 12)
+
+
 def test_boundary_values_are_fractions():
     s = JetSeries({1: (3, Fraction(1, 6)), -1: (Fraction(-4, 6), 0)})
     for e, c0, c1 in s.terms():
@@ -172,8 +194,12 @@ def test_float_and_complex_inputs_raise_type_error():
     for bad in (0.5, 2.0, 1j):
         with pytest.raises(TypeError):
             one.scale(bad)
-    with pytest.raises(TypeError):
-        JetSeries.linear_combination([(0.5, 0, one)], -8, 12)
+    for bad in ((0.5, 1), (Fraction(1, 2), 1), (1, 2.0)):
+        n, den = bad
+        with pytest.raises(TypeError):
+            JetSeries.linear_combination([(n, 0, one)], den, -8, 12)
+        with pytest.raises(TypeError):
+            JetSeries.from_numerators({0: (n, 0)}, den, -8, 12)
     with pytest.raises(TypeError):
         JetSeries.monomial(0, c1=1.5)
 
@@ -394,8 +420,11 @@ def test_linear_combination_matches_the_fraction_oracle(window):
             shifts.append(rng.randint(-4, 4))
             news.append(new)
             olds.append(old)
+        # the integer path takes the coefficients over one common denominator
+        den = lcm(*(Fraction(c).denominator for c in coeffs))
+        nums = [int(c * den) for c in coeffs]
         _assert_matches(
-            JetSeries.linear_combination(zip(coeffs, shifts, news), *window),
+            JetSeries.linear_combination(zip(nums, shifts, news), den, *window),
             FractionJetSeries.linear_combination(zip(coeffs, shifts, olds),
                                                  *window))
 

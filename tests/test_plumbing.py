@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,6 +17,7 @@ from torelli_lab.plumbing import (
     JetCoefficients,
     JetOrderError,
     check_closed_forms,
+    closed_form_pair,
     check_eta_proportionality,
     random_jet_coefficients,
     residue_pair,
@@ -137,7 +139,7 @@ def test_jet_coefficient_validation():
 def test_jet_coefficients_keep_a_fraction_and_reject_floats():
     value = Fraction(3, 7)
     b = JetCoefficients({(1, 2): value, (0, 1): 2})
-    assert b.b[(1, 2)] is value
+    assert b.b[(1, 2)] == value and type(b.b[(1, 2)]) is Fraction
     assert b[(0, 1)] == 2 and type(b[(0, 1)]) is Fraction
     for bad in (0.5, 1.0, 2j):
         with pytest.raises(TypeError):
@@ -323,3 +325,129 @@ def test_chains_share_and_keep_the_window_factors(fresh_chain_factors):
     assert plumbing._chain_factors(*cuts, b.max_order) is factors
     assert [series.terms() for series in (factors[0], *factors[1])] == before
     assert plumbing._chain_factors.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer jets against the Fraction-dict jets they replaced
+# ---------------------------------------------------------------------------
+
+class FractionJetCoefficients:
+    """The jets as first written: a dict ``{(m, n): Fraction}`` of nonzero
+    values, every operation in ``Fraction`` arithmetic.  The oracle the
+    integer numerators over one common denominator must reproduce exactly."""
+
+    def __init__(self, b, max_order=MAX_ORDER_DEFAULT):
+        self.b = {}
+        for (m, n), value in dict(b).items():
+            if m < 0 or n < 0 or m + n > max_order:
+                raise JetOrderError(f"jet index ({m}, {n})")
+            if isinstance(value, (float, complex)):
+                raise TypeError("floats are not allowed")
+            value = Fraction(value)
+            if value:
+                self.b[(m, n)] = value
+        self.max_order = max_order
+
+    def __getitem__(self, key):
+        return self.b.get(key, Fraction(0))
+
+    def items(self):
+        return sorted(self.b.items())
+
+    def scale(self, factor):
+        factor = Fraction(factor)
+        return FractionJetCoefficients(
+            {k: factor * v for k, v in self.b.items()}, self.max_order)
+
+    def __add__(self, other):
+        out = dict(self.b)
+        for k, v in other.b.items():
+            out[k] = out.get(k, Fraction(0)) + v
+        return FractionJetCoefficients(out, max(self.max_order, other.max_order))
+
+
+JET_SCALARS = [0, 1, -1, 2, Fraction(-3, 7), Fraction(5, 12), Fraction(-1, 12)]
+
+
+def _random_entries(rng, max_order):
+    entries = {}
+    for _ in range(rng.randint(0, 8)):
+        m = rng.randint(0, max_order)
+        n = rng.randint(0, max_order - m)
+        entries[(m, n)] = rng.choice([0, rng.randint(-9, 9),
+                                      Fraction(rng.randint(-9, 9),
+                                               rng.randint(1, 12))])
+    return entries
+
+
+def _assert_jets_match(new, old):
+    assert new.max_order == old.max_order
+    assert new.b == old.b and all(type(v) is Fraction for v in new.b.values())
+    assert new.items() == old.items()
+    for m in range(new.max_order + 2):
+        for n in range(new.max_order + 2 - m):
+            assert new[(m, n)] == old[(m, n)]
+            assert type(new[(m, n)]) is Fraction
+    # canonical: lowest terms, no stored zero, denominator 1 for zero jets
+    assert new._den > 0 and 0 not in new._num.values()
+    assert gcd(new._den, *new._num.values()) == 1
+    assert new._num or new._den == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_jet_arithmetic_matches_the_fraction_oracle(seed):
+    rng = random.Random(seed)
+    pool = []
+    for _ in range(60):
+        op = rng.choice(("new", "scale", "add", "cancel") if pool else ("new",))
+        if op == "new":
+            max_order = rng.choice((0, 2, 6))
+            entries = _random_entries(rng, max_order)
+            pair = (JetCoefficients(entries, max_order),
+                    FractionJetCoefficients(entries, max_order))
+        elif op == "scale":
+            c = rng.choice(JET_SCALARS + [Fraction(rng.randint(-9, 9),
+                                                   rng.randint(1, 12))])
+            new, old = rng.choice(pool)
+            pair = (new.scale(c), old.scale(c))
+        elif op == "add":
+            (a, a_old), (b, b_old) = rng.choice(pool), rng.choice(pool)
+            pair = (a + b, a_old + b_old)
+        else:
+            # full cancellation: x*c + x*(-c) is the zero jet
+            new, old = rng.choice(pool)
+            c = rng.choice(JET_SCALARS[1:])
+            pair = (new.scale(c) + new.scale(-c), old.scale(c) + old.scale(-c))
+            assert pair[0].b == {} and pair[0] == JetCoefficients({})
+        _assert_jets_match(*pair)
+        for other, other_old in rng.sample(pool, min(3, len(pool))):
+            assert (pair[0] == other) == (pair[1].b == other_old.b)
+        assert pair[0] == JetCoefficients(pair[1].b, pair[1].max_order)
+        pool.append(pair)
+    assert any(not new.b for new, _ in pool)
+    assert len({new.max_order for new, _ in pool}) > 1
+
+
+def test_the_jet_arithmetic_of_a_trial_builds_no_fraction(monkeypatch):
+    rng = random.Random(31)
+    b1 = random_jet_coefficients(rng)
+    b2 = random_jet_coefficients(rng)
+    alpha, beta = Fraction(-5, 4), Fraction(3, 2)
+    residue_pair(b1)    # the window factors are built once and cached
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    combo = b1.scale(alpha) + b2.scale(beta)
+    chain = residue_pair(combo)
+    closed = closed_form_pair(combo)
+    assert made == []
+    # the probe sees a Fraction built at the boundary
+    assert combo[(0, 0)] == alpha * b1[(0, 0)] + beta * b2[(0, 0)]
+    assert made
+    monkeypatch.undo()
+    assert chain == closed

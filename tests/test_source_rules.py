@@ -5,12 +5,13 @@ matters raises a ``TorelliLabError`` subclass.  No environment reads: every
 setting arrives through a function argument or a command-line flag.  Every
 name the benchmark's tracer rebinds and every exported name exists, so a
 deletion cannot break ``perfbench`` or ``from torelli_lab import *``.  No
-true division in the exact layer of ``binforms`` or in ``jets.JetSeries``:
-their coefficients and numerators are ints, and ``int / int`` is a float.
-No numpy in that exact layer either: its decisions stay on CPython ints.
-Every source file is ASCII.  No module imports scipy when it loads: scipy
-costs most of the package's start-up, and only the assignment fallback of
-``recovery.match_points`` needs it, so it is imported there.
+true division in the exact layer of ``binforms``, in ``jets.JetSeries`` or
+in ``plumbing.JetCoefficients`` and the chain and closed forms built from
+it: their coefficients and numerators are ints, and ``int / int`` is a
+float.  No numpy in that exact layer either: its decisions stay on CPython
+ints.  Every source file is ASCII.  No module imports scipy when it loads:
+scipy costs most of the package's start-up, and only the assignment
+fallback of ``recovery.match_points`` needs it, so it is imported there.
 """
 
 import ast
@@ -27,6 +28,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 BINFORMS = Path(torelli_lab.__file__).parent / "binforms.py"
 JETS = Path(torelli_lab.__file__).parent / "jets.py"
+PLUMBING = Path(torelli_lab.__file__).parent / "plumbing.py"
 # with every ``poly_*`` function, the exact layer of binforms
 EXACT_LAYER = {"_int_primitive", "_to_int_primitive", "_pseudo_rem",
                "_heu_gcd", "gcd_is_constant", "squarefree_decomposition",
@@ -94,8 +96,10 @@ def test_no_numpy_in_the_exact_layer():
 
 
 def test_no_true_division_in_jet_series():
-    # every method of the class, none exempt
+    # every method of the classes, none exempt
     assert _true_divisions(JETS, {"JetSeries"}) == []
+    assert _true_divisions(PLUMBING, {"JetCoefficients", "residue_pair",
+                                      "closed_form_pair"}) == []
 
 
 def test_traced_and_exported_names_resolve():
