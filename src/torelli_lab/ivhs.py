@@ -98,9 +98,9 @@ def canonical_points(base_points, h: int) -> tuple:
 class IVHSPresentation:
     """An N-dimensional subspace of C^(h x N) given by a basis of matrices."""
 
-    __slots__ = ("h", "N", "basis", "gram")
+    __slots__ = ("h", "N", "basis")
 
-    def __init__(self, h: int, N: int, basis, gram=None):
+    def __init__(self, h: int, N: int, basis):
         basis = np.asarray(basis, dtype=complex)
         if basis.shape != (N, h, N):
             raise InvalidPresentationError(
@@ -117,8 +117,6 @@ class IVHSPresentation:
         object.__setattr__(self, "h", int(h))
         object.__setattr__(self, "N", int(N))
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "gram", None if gram is None
-                           else np.asarray(gram, dtype=complex))
 
     def __setattr__(self, name, value):
         raise AttributeError("IVHSPresentation is immutable")
@@ -189,8 +187,7 @@ def synthesize(s: WeierstrassSurface, seed: int, frame_seed=None):
     # basis[j, i, a] = sum_k mixer[j, k] lambdas[k] X[i, k] y_frame[a, k]
     weighted = (mixer * lambdas)[:, None, :] * X
     basis = (weighted.reshape(N * h, N) @ y_frame.T).reshape(N, h, N)
-    gram = np.diag(np.full(N, -2.0 + 0.0j))
-    presentation = IVHSPresentation(h=h, N=N, basis=basis, gram=gram)
+    presentation = IVHSPresentation(h=h, N=N, basis=basis)
     truth = GroundTruth(points=points, lambdas=lambdas,
                         y_frame=y_frame, mixer=mixer)
     return presentation, truth

@@ -19,9 +19,12 @@ forms, the q^{-2} leading law (eta's leading coefficient is -b[0,0]/4), the
 q^{-1} residue law ((b[0,1] - b[1,0])/4), and the proportionality of the
 eta series across proportional jet data.
 
-The factors that do not depend on the jet, the prefactor and the powers
-v^(n-1), are built once per exponent window and shared.  Each jet's chain
-sums its terms in one pass and takes one product with the prefactor; every
+Every series in the chain is a finite Laurent polynomial in q: modulo t^2
+the branch is exactly v = q - (t/2) q^{-1}, so the chain is exact
+Laurent-polynomial arithmetic and nothing but t^2 is truncated.  The
+factors that do not depend on the jet, the prefactor and the powers
+v^(n-1), are built once per jet order and shared.  Each jet's chain sums
+its terms in one pass and takes one product with the prefactor; every
 identity is checked on chains of its own, never derived from another chain.
 
 Jet coefficients are held as integer numerators over one common
@@ -41,13 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import UsageError
-from .jets import (
-    DEFAULT_HIGH_CUT,
-    DEFAULT_LOW_CUT,
-    JetSeries,
-    WindowError,
-    _rat,
-)
+from .jets import JetSeries, _rat
 
 MAX_ORDER_DEFAULT = 6
 
@@ -125,7 +122,7 @@ class JetCoefficients:
     def scale(self, factor) -> "JetCoefficients":
         """Multiply every coefficient by the rational ``factor``."""
         if not isinstance(factor, (int, Fraction)):
-            factor = Fraction(factor)
+            factor = _rat(factor)
         p = factor.numerator
         num = {key: p * k for key, k in self._num.items()} if p else {}
         return self._reduced(num, self._den * factor.denominator,
@@ -149,31 +146,26 @@ class JetCoefficients:
         return self._den == other._den and self._num == other._num
 
 
-def _window_for(max_order: int):
-    high = max(DEFAULT_HIGH_CUT, max_order + 6)
-    return DEFAULT_LOW_CUT, high
-
-
 @functools.cache
-def _chain_factors(low: int, high: int, max_order: int):
-    """The jet-independent factors of the chain on the window [low, high]:
-    the prefactor -1/2 (q + v) and the tuple of v^(n-1) for n = 0..max_order.
+def _chain_factors(max_order: int):
+    """The jet-independent factors of the chain: the prefactor
+    -1/2 (q + v) and the tuple of v^(n-1) for n = 0..max_order.
 
     v = q*(1 - t q^{-2})^{1/2} comes from the branch substitution, v^(n-1)
     by repeated exact multiplication (and the unit inverse at n = 0).
-    JetSeries is immutable, so every chain on this window shares them.
+    JetSeries is immutable, so every chain of this order shares them.
     """
-    q = JetSeries.monomial(1, c0=1, low_cut=low, high_cut=high)
-    u = JetSeries.monomial(-2, c1=1, low_cut=low, high_cut=high)
+    q = JetSeries.monomial(1, c0=1)
+    u = JetSeries.monomial(-2, c1=1)
     v = q.mul(u.sqrt_one_minus())
     prefactor = (q + v).scale(Fraction(-1, 2))
-    v_pows = [v.invert_unit(), JetSeries.one(low, high)]
+    v_pows = [v.invert_unit(), JetSeries.one()]
     while len(v_pows) <= max_order:
         v_pows.append(v_pows[-1].mul(v))
     return prefactor, tuple(v_pows)
 
 
-def residue_pair(b: JetCoefficients, low_cut=None, high_cut=None):
+def residue_pair(b: JetCoefficients):
     """(omega, eta): the t^0 and t^1 parts of the residue chain.
 
     The chain is computed structurally: sum b[m,n] q^m v^(n-1) is
@@ -182,27 +174,15 @@ def residue_pair(b: JetCoefficients, low_cut=None, high_cut=None):
     is made of the closed forms, so comparing against them is a two-sided
     check.
     """
-    low0, high0 = _window_for(b.max_order)
-    low = low0 if low_cut is None else int(low_cut)
-    high = high0 if high_cut is None else int(high_cut)
-    # intermediates reach exponents -3 and max_order; demand slack beyond that
-    if low > -4 or high < b.max_order + 2:
-        raise WindowError(
-            f"window [{low}, {high}] cannot hold the residue chain for jets "
-            f"of order {b.max_order}")
-
-    prefactor, v_pows = _chain_factors(low, high, b.max_order)
+    prefactor, v_pows = _chain_factors(b.max_order)
     total = JetSeries.linear_combination(
-        ((k, m, v_pows[n]) for (m, n), k in b._num.items()), b._den, low, high)
+        ((k, m, v_pows[n]) for (m, n), k in b._num.items()), b._den)
     result = prefactor.mul(total)
     return result.t_component(0), result.t_component(1)
 
 
-def closed_form_pair(b: JetCoefficients, low_cut=None, high_cut=None):
+def closed_form_pair(b: JetCoefficients):
     """The closed forms for omega and eta, built directly."""
-    low0, high0 = _window_for(b.max_order)
-    low = low0 if low_cut is None else int(low_cut)
-    high = high0 if high_cut is None else int(high_cut)
     # integer numerators over _den for omega and over 4*_den for eta
     omega = {}
     eta = {}
@@ -210,9 +190,9 @@ def closed_form_pair(b: JetCoefficients, low_cut=None, high_cut=None):
         e = m + n
         omega[e] = omega.get(e, 0) - k
         eta[e - 2] = eta.get(e - 2, 0) + (2 * n - 1) * k
-    return tuple(JetSeries.from_numerators({e: (k, 0) for e, k in num.items()},
-                                           den, low, high)
-                 for num, den in ((omega, b._den), (eta, 4 * b._den)))
+    return tuple(
+        JetSeries.from_numerators({e: (k, 0) for e, k in num.items()}, den)
+        for num, den in ((omega, b._den), (eta, 4 * b._den)))
 
 
 @dataclass(frozen=True)

@@ -412,8 +412,7 @@ def roundtrip(s: WeierstrassSurface, seed: int,
             + 1j * rng.standard_normal((inv.h, inv.N))
         basis = presentation.basis.copy()
         basis[-1] = basis[-1] + noise * np.linalg.norm(basis[-1]) / np.linalg.norm(noise)
-        presentation = IVHSPresentation(
-            h=inv.h, N=inv.N, basis=basis, gram=presentation.gram)
+        presentation = IVHSPresentation(h=inv.h, N=inv.N, basis=basis)
     factors = run("extract", lambda: extract_rank_ones(presentation, seed))
     recovered_dl = recovered_line_degree(presentation.h, len(factors))
     geometry = run("recover", lambda: recover_geometry(factors, inv.h))

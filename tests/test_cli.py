@@ -2,15 +2,28 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torelli_lab
 from torelli_lab import ivhs
 from torelli_lab.cli import build_parser, main
 from torelli_lab.surfaces import make_with_I2, save_surface
+
+
+def run_module(*argv):
+    """``python -m torelli_lab *argv`` on the package these tests import,
+    also from a checkout that is not installed."""
+    src = str(Path(torelli_lab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "torelli_lab", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def read_json(path):
@@ -235,9 +248,7 @@ def test_oracle_command_modes(tmp_path):
 
 
 def test_module_entrypoint_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "torelli_lab", "plumb-verify", "--trials", "2"],
-        capture_output=True, text=True)
+    proc = run_module("plumb-verify", "--trials", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "ok"
 
@@ -302,8 +313,7 @@ DELETED_FLAGS = [
 def test_bad_input_is_a_usage_error_without_a_traceback(input_files, argv):
     argv = [a.format(**{k: str(v) for k, v in input_files.items()})
             for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "torelli_lab", *argv],
-                          capture_output=True, text=True)
+    proc = run_module(*argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:usage: ")
     assert "Traceback" not in proc.stderr

@@ -11,7 +11,7 @@ import pytest
 from conftest import leading_coefficient, residue_coefficient
 from torelli_lab import plumbing
 from torelli_lab.errors import UsageError
-from torelli_lab.jets import DEFAULT_HIGH_CUT, DEFAULT_LOW_CUT, JetSeries, WindowError
+from torelli_lab.jets import JetSeries
 from torelli_lab.plumbing import (
     MAX_ORDER_DEFAULT,
     JetCoefficients,
@@ -28,8 +28,8 @@ from torelli_lab.plumbing import (
 def test_leading_example_constant_jet():
     b = JetCoefficients({(0, 0): 1})
     omega, eta = residue_pair(b)
-    assert omega == JetSeries({0: -1}, omega.low_cut, omega.high_cut)
-    assert eta == JetSeries({-2: Fraction(-1, 4)}, eta.low_cut, eta.high_cut)
+    assert omega == JetSeries({0: -1})
+    assert eta == JetSeries({-2: Fraction(-1, 4)})
     # leading law: coefficient of q^-2 is a quarter of omega's value -b00
     assert leading_coefficient(b) == Fraction(-1, 4)
 
@@ -141,9 +141,12 @@ def test_jet_coefficients_keep_a_fraction_and_reject_floats():
     b = JetCoefficients({(1, 2): value, (0, 1): 2})
     assert b.b[(1, 2)] == value and type(b.b[(1, 2)]) is Fraction
     assert b[(0, 1)] == 2 and type(b[(0, 1)]) is Fraction
-    for bad in (0.5, 1.0, 2j):
+    # scale follows the constructor's rule
+    for bad in (0.1, 0.5, 1.0, 1j, 2j):
         with pytest.raises(TypeError):
             JetCoefficients({(0, 0): bad})
+        with pytest.raises(TypeError):
+            b.scale(bad)
 
 
 def jets_to_json_dict(b: JetCoefficients) -> dict:
@@ -199,45 +202,52 @@ def test_verifier_golden_digest():
         "9db2a30b79948b74727bbd191ebd6d56a174a9eb4f1b97c0a3bcfe6103f2ed5d"
 
 
+def test_verifier_golden_digest_across_orders():
+    """The 20-trial reports at orders 0, 8 and 12 are pinned: the order-0
+    chain, and chains whose exponents reach well past the order-6 ones."""
+    digest = hashlib.sha256()
+    for max_order, seed in ((0, 1), (8, 3), (12, 2)):
+        report = verification_report(trials=20, max_order=max_order, seed=seed)
+        assert report["status"] == "ok"
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "a5fc035535caf8e10671d3295ca2674243d871ee08a08c5020a2de3673844392"
+
+
 def test_higher_order_window_scales():
     rng = random.Random(23)
     b = random_jet_coefficients(rng, max_order=9)
     assert check_closed_forms(b).ok
 
 
-def test_too_small_window_is_an_error():
-    b = JetCoefficients({(0, 0): 1, (3, 3): 2})
-    with pytest.raises(WindowError):
-        residue_pair(b, high_cut=4)
-    with pytest.raises(WindowError):
-        residue_pair(b, low_cut=-2)
-
-
 # ---------------------------------------------------------------------------
 # the one-pass chain against the chain built term by term
 # ---------------------------------------------------------------------------
 
-def _residue_pair_term_by_term(b: JetCoefficients, low_cut=None, high_cut=None):
+def _residue_pair_term_by_term(b: JetCoefficients, seen=None):
     """The chain as first written: every factor rebuilt for each jet, and
-    the sum taken through shift, scale and + one term at a time."""
-    low = DEFAULT_LOW_CUT if low_cut is None else low_cut
-    high = (max(DEFAULT_HIGH_CUT, b.max_order + 6) if high_cut is None
-            else high_cut)
-    if low > -4 or high < b.max_order + 2:
-        raise WindowError("window too small")
-    q = JetSeries.monomial(1, c0=1, low_cut=low, high_cut=high)
-    u = JetSeries.monomial(-2, c1=1, low_cut=low, high_cut=high)
-    v = q.mul(u.sqrt_one_minus())
-    prefactor = (q + v).scale(Fraction(-1, 2))
+    the sum taken through a product with q^m, scale and + one term at a
+    time.  Every intermediate series is appended to ``seen`` when given."""
+    seen = [] if seen is None else seen
+
+    def keep(series):
+        seen.append(series)
+        return series
+
+    q = keep(JetSeries.monomial(1, c0=1))
+    u = keep(JetSeries.monomial(-2, c1=1))
+    v = keep(q.mul(keep(u.sqrt_one_minus())))
+    prefactor = keep(keep(q + v).scale(Fraction(-1, 2)))
     max_n = max((n for (_, n) in b.b), default=0)
-    v_pows = {0: v.invert_unit(), 1: JetSeries.one(low, high)}
+    v_pows = {0: keep(v.invert_unit()), 1: keep(JetSeries.one())}
     for k in range(2, max_n + 1):
-        v_pows[k] = v_pows[k - 1].mul(v)
-    total = JetSeries.zero(low, high)
+        v_pows[k] = keep(v_pows[k - 1].mul(v))
+    total = JetSeries({})
     for (m, n), coeff in b.items():
-        total = total + v_pows[n].shift(m).scale(coeff)
-    result = prefactor.mul(total)
-    return result.t_component(0), result.t_component(1)
+        term = keep(keep(JetSeries.monomial(m, 1).mul(v_pows[n])).scale(coeff))
+        total = keep(total + term)
+    result = keep(prefactor.mul(total))
+    return keep(result.t_component(0)), keep(result.t_component(1))
 
 
 def _oracle_jets(max_order, seed):
@@ -255,20 +265,31 @@ def _oracle_jets(max_order, seed):
     return jets
 
 
-@pytest.mark.parametrize("max_order", [3, 6, 8])
-@pytest.mark.parametrize("window", ["default", "smallest", (-6, 9)],
-                         ids=["default", "smallest", "-6_9"])
+# The exponent windows the chain was once truncated to, as (low, high) for a
+# jet order: the default one, the smallest one accepted, and a fixed one.  A
+# window was accepted when low <= -4 and high >= max_order + 2.
+WINDOWS = {"default": lambda order: (-8, max(12, order + 6)),
+           "smallest": lambda order: (-4, order + 2),
+           "-6_9": lambda order: (-6, 9)}
+
+
+def _window_accepted(low, high, max_order):
+    return low <= -4 and high >= max_order + 2
+
+
+@pytest.mark.parametrize("max_order", [3, 6, 8, 12])
+@pytest.mark.parametrize("window", list(WINDOWS))
 def test_one_pass_chain_equals_the_term_by_term_chain(max_order, window):
-    cuts = {"default": (None, None),
-            "smallest": (-4, max_order + 2)}.get(window, window)
+    """The one-pass chain equals the term-by-term chain.  Where the window
+    was accepted, every intermediate of the chain lies inside it, so a chain
+    truncated to that window cut nothing and gave this same result."""
+    low, high = WINDOWS[window](max_order)
     for b in _oracle_jets(max_order, seed=max_order):
-        try:
-            expected = _residue_pair_term_by_term(b, *cuts)
-        except WindowError:
-            with pytest.raises(WindowError):
-                residue_pair(b, *cuts)
-            continue
-        assert residue_pair(b, *cuts) == expected
+        seen = []
+        assert residue_pair(b) == _residue_pair_term_by_term(b, seen)
+        if _window_accepted(low, high, max_order):
+            exponents = [e for series in seen for e, _, _ in series.terms()]
+            assert low <= min(exponents) and max(exponents) <= high
 
 
 def test_oracle_jets_cover_every_monomial_and_window():
@@ -276,9 +297,10 @@ def test_oracle_jets_cover_every_monomial_and_window():
     assert jets[0].b == {}
     assert sum(len(b.b) == 1 for b in jets) == 28
     assert sum(len(b.b) > 1 for b in jets) == 24
-    # (-6, 9) is too small for order 8, so that case checks the error
-    with pytest.raises(WindowError):
-        residue_pair(random_jet_coefficients(random.Random(0), 8), -6, 9)
+    # (-6, 9) was accepted at orders 3 and 6 only
+    assert [_window_accepted(*WINDOWS[w](order), order)
+            for order in (3, 6, 8, 12) for w in WINDOWS] == \
+        [True] * 6 + [True, True, False] * 2
 
 
 @pytest.fixture
@@ -291,10 +313,9 @@ def fresh_chain_factors():
 def test_report_fails_on_a_closed_form_off_by_a_quarter(monkeypatch):
     true_closed_form_pair = plumbing.closed_form_pair
 
-    def off_by_a_quarter(b, low_cut=None, high_cut=None):
-        omega, eta = true_closed_form_pair(b, low_cut, high_cut)
-        return omega, eta + JetSeries({1: Fraction(1, 4)}, eta.low_cut,
-                                      eta.high_cut)
+    def off_by_a_quarter(b):
+        omega, eta = true_closed_form_pair(b)
+        return omega, eta + JetSeries({1: Fraction(1, 4)})
 
     monkeypatch.setattr(plumbing, "closed_form_pair", off_by_a_quarter)
     report = verification_report(trials=2, seed=0)
@@ -305,7 +326,7 @@ def test_report_fails_on_a_closed_form_off_by_a_quarter(monkeypatch):
 def test_report_fails_on_a_wrong_square_root(monkeypatch, fresh_chain_factors):
     def one_minus_u(self):
         # the series of 1 - u, not of its square root 1 - u/2
-        return JetSeries.one(self.low_cut, self.high_cut) - self
+        return JetSeries.one() - self
 
     monkeypatch.setattr(JetSeries, "sqrt_one_minus", one_minus_u)
     report = verification_report(trials=2, seed=0)
@@ -313,16 +334,15 @@ def test_report_fails_on_a_wrong_square_root(monkeypatch, fresh_chain_factors):
     assert report["identities"]["closed_forms"]["failures"] == 2
 
 
-def test_chains_share_and_keep_the_window_factors(fresh_chain_factors):
+def test_chains_share_and_keep_the_factors(fresh_chain_factors):
     rng = random.Random(29)
     b = random_jet_coefficients(rng)
     first = residue_pair(b)
-    cuts = plumbing._window_for(b.max_order)
-    factors = plumbing._chain_factors(*cuts, b.max_order)
+    factors = plumbing._chain_factors(b.max_order)
     before = [series.terms() for series in (factors[0], *factors[1])]
     assert residue_pair(b) == first
     assert residue_pair(b.scale(3)) == tuple(s.scale(3) for s in first)
-    assert plumbing._chain_factors(*cuts, b.max_order) is factors
+    assert plumbing._chain_factors(b.max_order) is factors
     assert [series.terms() for series in (factors[0], *factors[1])] == before
     assert plumbing._chain_factors.cache_info().misses == 1
 
@@ -433,7 +453,7 @@ def test_the_jet_arithmetic_of_a_trial_builds_no_fraction(monkeypatch):
     b1 = random_jet_coefficients(rng)
     b2 = random_jet_coefficients(rng)
     alpha, beta = Fraction(-5, 4), Fraction(3, 2)
-    residue_pair(b1)    # the window factors are built once and cached
+    residue_pair(b1)    # the chain factors are built once and cached
     made = []
     original = Fraction.__new__
 
