@@ -18,10 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from array import array
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -47,6 +44,10 @@ class NonGenericSurfaceError(TorelliLabError):
 
 class InvalidPresentationError(TorelliLabError):
     """Basis matrices fail the linear-independence contract."""
+
+
+class MalformedPresentationError(UsageError, InvalidPresentationError):
+    """Period data whose basis bytes do not fill the declared shape."""
 
 
 def normalize_phase(x: np.ndarray) -> np.ndarray:
@@ -96,7 +97,9 @@ def canonical_points(base_points, h: int) -> tuple:
 
 
 class IVHSPresentation:
-    """An N-dimensional subspace of C^(h x N) given by a basis of matrices."""
+    """An N-dimensional subspace of C^(h x N) given by a finite basis of
+    matrices, independent to ``BASIS_INDEPENDENCE_TOL``: a Gram certificate
+    decides every synthesized basis, and an SVD decides what it cannot."""
 
     __slots__ = ("h", "N", "basis")
 
@@ -107,13 +110,30 @@ class IVHSPresentation:
                 f"expected basis of shape {(N, h, N)}, got {basis.shape}")
         if not np.all(np.isfinite(basis)):
             raise InvalidPresentationError("basis contains NaN or Inf")
-        # the singular values of the transpose are the same; LAPACK takes
-        # the tall layout about twice as fast as the wide one
-        sv = np.linalg.svd(basis.reshape(N, h * N).T, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= BASIS_INDEPENDENCE_TOL * sv[0]:
-            raise InvalidPresentationError(
-                "basis matrices are not numerically independent "
-                f"(sigma_min/sigma_max = {sv[-1] / max(sv[0], 1e-300):.2e})")
+        # The certificate, on F = flat scaled exactly by a power of 2 so that
+        # G = fl(F F^H) cannot overflow: G is within gamma_(hN+2) ||F||_F^2
+        # of F F^H in the 2-norm (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2002, section 3.5, and 3.6 for complex products), and
+        # eigvalsh is exact for a matrix within p(N) u ||G||_2 of G (LAPACK
+        # Users' Guide, section 4.7; p(N) = 2 N^2 also covers ||G||_2 <=
+        # (1 + gamma) ||F||_F^2, which trace(G) stands for).  By Weyl's
+        # inequality each computed eigenvalue lies within delta of a
+        # sigma_i(F)^2, so lam_min - delta > tol^2 (lam_max + delta) proves
+        # sigma_min > tol sigma_max.  Otherwise an SVD decides, on the
+        # transpose (LAPACK takes the tall layout about twice as fast).
+        flat = basis.reshape(N, h * N)
+        _, e = np.frexp(np.max(np.abs(flat)))
+        scaled = flat * np.ldexp(1.0, min(-int(e), 1023))
+        gram = scaled @ scaled.conj().T
+        lam = np.linalg.eigvalsh(gram)
+        u, m = np.finfo(float).eps / 2, h * N + 2
+        delta = (m * u / (1 - m * u) + 2 * N * N * u) * np.trace(gram).real
+        if not lam[0] - delta > BASIS_INDEPENDENCE_TOL ** 2 * (lam[-1] + delta):
+            sv = np.linalg.svd(flat.T, compute_uv=False)
+            if sv[0] == 0.0 or sv[-1] <= BASIS_INDEPENDENCE_TOL * sv[0]:
+                raise InvalidPresentationError(
+                    "basis matrices are not numerically independent "
+                    f"(sigma_min/sigma_max = {sv[-1] / max(sv[0], 1e-300):.2e})")
         object.__setattr__(self, "h", int(h))
         object.__setattr__(self, "N", int(N))
         object.__setattr__(self, "basis", basis)
@@ -205,46 +225,29 @@ def _matrix_json(m: np.ndarray) -> list:
     return [[_cplx(z) for z in row] for row in np.asarray(m)]
 
 
-def _basis_from_json(matrices) -> np.ndarray:
-    """Complex array of a list of equal-shape matrices of [re, im] pairs.
-
-    ValueError on ragged rows or a pair of the wrong length, TypeError on a
-    part that is not a real number.
-    """
-    if len(matrices) == 0:
-        raise ValueError("the basis is empty")
-    rows, cols = len(matrices[0]), len(matrices[0][0])
-    if any(len(m) != rows for m in matrices) or \
-            any(len(row) != cols for m in matrices for row in m):
-        raise ValueError("basis matrices are ragged")
-    pairs = list(chain.from_iterable(chain.from_iterable(matrices)))
-    if set(map(len, pairs)) != {2}:
-        raise ValueError("every basis entry must be a [re, im] pair")
-    # list.extend mapped over the pairs flattens them about twice as fast as
-    # chain.from_iterable, and array("d") fills faster from a list than from
-    # an iterator; it takes real numbers only, as complex(re, im) did
-    parts = []
-    deque(map(parts.extend, pairs), maxlen=0)
-    return np.frombuffer(array("d", parts), dtype=complex).reshape(
-        len(matrices), rows, cols)
+BASIS_FORMAT = "one hex string of (N, h, N) little-endian complex128 bytes"
 
 
 def presentation_to_json_dict(p: IVHSPresentation) -> dict:
     return {
         "h": p.h,
         "N": p.N,
-        "basis": [_matrix_json(p.basis[j]) for j in range(p.N)],
+        "basis": np.ascontiguousarray(p.basis, "<c16").tobytes().hex(),
     }
 
 
 def presentation_from_json_dict(data: dict) -> IVHSPresentation:
     try:
-        h = int(data["h"])
-        n = int(data["N"])
-        basis = _basis_from_json(data["basis"])
-    except (KeyError, IndexError, ValueError, TypeError, OverflowError) as exc:
-        raise UsageError(f"malformed presentation data: {exc}") from exc
-    return IVHSPresentation(h=h, N=n, basis=basis)
+        h, n = int(data["h"]), int(data["N"])
+        raw = bytes.fromhex(data["basis"])
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise UsageError(f"malformed presentation data, whose basis must be "
+                         f"{BASIS_FORMAT}: {exc}") from exc
+    if min(h, n) < 1 or len(raw) != 16 * n * h * n:
+        raise MalformedPresentationError(
+            f"malformed presentation data: {len(raw)} basis bytes for h = {h},"
+            f" N = {n}, but {BASIS_FORMAT} needs h, N >= 1 and 16*N*h*N bytes")
+    return IVHSPresentation(h, n, np.frombuffer(raw, "<c16").reshape(n, h, n))
 
 
 def truth_to_json_dict(t: GroundTruth) -> dict:

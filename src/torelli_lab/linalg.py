@@ -1,9 +1,9 @@
 """Dense complex linear algebra used by the recovery pipeline.
 
 Thin contract-bearing wrappers over LAPACK via numpy: the guarantees are
-an accuracy bound on the nullspace and a completeness check on the
-eigenvector basis, not specific algorithms.  Matrices are plain 2-D complex
-ndarrays; construction-time validation rejects non-finite entries.
+an accuracy bound on the nullspace and, for eigenpairs, the dual frame with
+a completeness check (kappa_F(V) < 1e12), not specific algorithms.  Matrices
+are plain 2-D complex ndarrays; validation rejects non-finite entries.
 """
 
 from __future__ import annotations
@@ -52,16 +52,15 @@ def nullspace(a, rel_tol: float) -> np.ndarray:
 class EigResult:
     values: np.ndarray
     vectors: np.ndarray          # unit columns, vectors[:, k] pairs values[k]
+    dual: np.ndarray             # vectors.T @ dual = I; None when singular
     defective: bool
 
 
 def eig_general(a) -> EigResult:
-    """Eigenpairs of a general square complex matrix.
-
-    Eigenvectors come back unit-norm; ``defective`` flags a (numerically)
-    incomplete eigenvector basis so callers can retry with fresh randomness
-    rather than trust a bad frame.
-    """
+    """Eigenpairs of a general square complex matrix, with unit eigenvectors
+    and the dual frame ``solve(vectors.T, I)``.  ``defective`` flags a
+    singular frame V or one with ||V||_F ||V^-1||_F >= 1e12 (an upper bound
+    on kappa_2(V)), so callers retry with fresh randomness, not a bad frame."""
     m = as_cmatrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("eig_general needs a square matrix")
@@ -72,8 +71,10 @@ def eig_general(a) -> EigResult:
     norms = np.linalg.norm(vectors, axis=0)
     norms[norms == 0.0] = 1.0
     vectors = vectors / norms
-    if m.shape[0] == 0:
-        return EigResult(values, vectors, False)
-    sv = np.linalg.svd(vectors, compute_uv=False)
-    defective = bool(sv[-1] <= 1e-12 * max(sv[0], 1.0))
-    return EigResult(values, vectors, defective)
+    try:
+        dual = np.linalg.solve(vectors.T, np.eye(len(m), dtype=complex))
+    except np.linalg.LinAlgError:
+        return EigResult(values, vectors, None, True)
+    with np.errstate(over="ignore"):          # an overflow is an inf kappa
+        kappa_f = np.linalg.norm(vectors) * np.linalg.norm(dual)
+    return EigResult(values, vectors, dual, not kappa_f < 1e12)

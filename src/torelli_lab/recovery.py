@@ -141,12 +141,7 @@ def extract_rank_ones(presentation: IVHSPresentation, seed: int):
         if float(np.min(gaps)) < EIG_GAP_MIN * scale:
             reasons.append("eigenvalue collision")
             continue
-        y_frame = eig.vectors
-        try:
-            dual = np.linalg.solve(y_frame.T, np.eye(n, dtype=complex))
-        except np.linalg.LinAlgError:
-            reasons.append("singular eigenframe")
-            continue
+        y_frame, dual = eig.vectors, eig.dual
         # slice k is the h x N matrix sum_a basis[:, :, a] dual[a, k], taken
         # here as its N x h transpose, which LAPACK factors faster; the top
         # left singular vector of slice k is then the conjugate of the first

@@ -255,8 +255,8 @@ def test_module_entrypoint_runs():
 
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
-    """A valid surface and presentation, a text file that is not JSON and a
-    file that is not UTF-8."""
+    """A valid surface and presentation, a text file that is not JSON, a
+    file that is not UTF-8, and presentations whose basis is malformed."""
     root = tmp_path_factory.mktemp("inputs")
     files = {name: root / f"{name}.json"
              for name in ("surface", "presentation", "text", "binary")}
@@ -266,6 +266,26 @@ def input_files(tmp_path_factory):
                  "-o", str(files["presentation"])]) == 0
     files["text"].write_text("{not json", encoding="utf-8")
     files["binary"].write_bytes(b"\xff\xfe\x00")
+    # presentation files with a malformed basis, one per defect
+    data = read_json(files["presentation"])
+    packed = data["basis"]
+    nested = np.frombuffer(bytes.fromhex(packed), "<c16").reshape(
+        data["N"], data["h"], data["N"]).tolist()
+    bases = {
+        "nonhex": "zz" + packed[2:],
+        "oddhex": packed[:-1],
+        "shorthex": packed[:-32],
+        "numberbasis": 0,
+        "nobasis": None,
+        "nested": [[[[z.real, z.imag] for z in row] for row in m]
+                   for m in nested],
+    }
+    for name, basis in bases.items():
+        bad = {k: v for k, v in data.items() if k != "basis"}
+        if basis is not None:
+            bad["basis"] = basis
+        files[name] = root / f"{name}.json"
+        files[name].write_text(json.dumps(bad), encoding="utf-8")
     return files
 
 
@@ -285,6 +305,12 @@ USAGE_ERRORS = [
     ["recover", "{text}"],
     ["analyze", "{binary}"],
     ["recover", "{binary}"],
+    ["recover", "{nonhex}"],
+    ["recover", "{oddhex}"],
+    ["recover", "{shorthex}"],
+    ["recover", "{numberbasis}"],
+    ["recover", "{nobasis}"],
+    ["recover", "{nested}"],
     ["generate", "--h", "3", "--i2", "1/0"],
     ["roundtrip", "--h", "2"],
     # rejected by the argument parser itself

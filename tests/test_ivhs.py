@@ -1,6 +1,7 @@
 """Forward model: canonical points and the synthetic period presentation."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from torelli_lab.binforms import ProjectivePointP1
 from torelli_lab.errors import UsageError
 from torelli_lab.ivhs import (
     BASIS_INDEPENDENCE_TOL,
+    LAMBDA_MAX,
+    LAMBDA_MIN,
+    MIXER_COND_MAX,
     InvalidPresentationError,
     IVHSPresentation,
     NonGenericSurfaceError,
@@ -111,7 +115,7 @@ def test_presentation_json_roundtrip(tmp_path):
     save_presentation(pres, path)
     back = load_presentation(path)
     assert (back.h, back.N) == (pres.h, pres.N)
-    # JSON keeps every float exactly, so the decode gives back the same bits
+    # the hex string holds the bytes, so the decode gives back the same bits
     assert np.array_equal(back.basis, pres.basis)
     data = presentation_to_json_dict(pres)
     again = presentation_from_json_dict(data)
@@ -127,24 +131,64 @@ def _tiny_presentation_data():
         IVHSPresentation(h=2, N=3, basis=basis))))
 
 
+def _nested_basis(data):
+    """The basis of ``data`` in the nested [re, im] list layout that files
+    written before the hex layout hold."""
+    basis = np.frombuffer(bytes.fromhex(data["basis"]), "<c16")
+    return [[[[z.real, z.imag] for z in row] for row in m]
+            for m in basis.reshape(data["N"], data["h"], data["N"]).tolist()]
+
+
+# The last five are files in the nested [re, im] list layout, well formed or
+# with one of the defects that layout could carry; each is rejected as a file
+# of the old layout, whatever its defect.
 @pytest.mark.parametrize("defect", [
-    "ragged row", "one part", "three parts", "string part", "no basis"])
+    "non-hex", "odd length", "missing entry", "extra byte", "not a string",
+    "no basis", "nested lists", "ragged row", "one part", "three parts",
+    "string part"])
 def test_presentation_decode_rejects_malformed_data(defect):
     data = _tiny_presentation_data()
     assert presentation_from_json_dict(data).basis.shape == (3, 2, 3)
-    entries = data["basis"][1][0]
-    if defect == "ragged row":
-        entries.append([0.0, 0.0])
-    elif defect == "one part":
-        entries[2] = entries[2][:1]
-    elif defect == "three parts":
-        entries[2].append(0.0)
-    elif defect == "string part":
-        entries[2][0] = "0.5"
-    else:
+    packed = data["basis"]
+    if defect == "non-hex":
+        data["basis"] = packed[:10] + "zz" + packed[12:]
+    elif defect == "odd length":
+        data["basis"] = packed[:-1]
+    elif defect == "missing entry":
+        data["basis"] = packed[:-32]
+    elif defect == "extra byte":
+        data["basis"] = packed + "00"
+    elif defect == "not a string":
+        data["basis"] = bytes.fromhex(packed)
+    elif defect == "no basis":
         del data["basis"]
-    with pytest.raises(UsageError):
+    else:
+        data["basis"] = _nested_basis(data)
+        entries = data["basis"][1][0]
+        if defect == "ragged row":
+            entries.append([0.0, 0.0])
+        elif defect == "one part":
+            entries[2] = entries[2][:1]
+        elif defect == "three parts":
+            entries[2].append(0.0)
+        elif defect == "string part":
+            entries[2][0] = "0.5"
+    with pytest.raises(UsageError) as err:
         presentation_from_json_dict(data)
+    assert "hex string of (N, h, N) little-endian complex128 bytes" \
+        in str(err.value)
+
+
+def test_presentation_file_packs_the_basis_bit_exactly():
+    pres, _ = synthesize(make_random_general(8, seed=1), seed=1)
+    data = json.loads(json.dumps(presentation_to_json_dict(pres)))
+    assert sorted(data) == ["N", "basis", "h"]
+    # 16 bytes per complex128 entry, two hex digits per byte
+    assert len(data["basis"]) == 2 * 16 * 88 * 8 * 88 == 1_982_464
+    back = presentation_from_json_dict(data)
+    assert back.basis.dtype == np.dtype("<c16")
+    assert np.array_equal(back.basis.view(np.uint64),
+                          np.ascontiguousarray(pres.basis).view(np.uint64))
 
 
 def test_presentation_decode_of_mismatched_shape_is_invalid():
@@ -170,6 +214,76 @@ def test_independence_cut_sits_at_its_tolerance(ratio, accepted):
     else:
         with pytest.raises(InvalidPresentationError):
             IVHSPresentation(h=h, N=n, basis=basis)
+
+
+def _count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("h", [3, 4, 5, 6, 7, 8])
+def test_synthesized_presentations_are_certified_without_an_svd(
+        monkeypatch, h):
+    # the rows x_k (x) y_k are orthonormal, so sigma_min/sigma_max is at
+    # least 1/(MIXER_COND_MAX * LAMBDA_MAX / LAMBDA_MIN) = 1e-4, far inside
+    # what the Gram certificate proves
+    assert MIXER_COND_MAX * LAMBDA_MAX / LAMBDA_MIN == pytest.approx(1e4)
+    pres, _ = synthesize(make_random_general(h, seed=h), seed=h)
+    calls = _count_svd(monkeypatch)
+    IVHSPresentation(h=pres.h, N=pres.N, basis=pres.basis)
+    assert calls == []
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_independence_cut_is_decided_by_the_svd(monkeypatch, ratio):
+    calls = _count_svd(monkeypatch)
+    try:
+        test_independence_cut_sits_at_its_tolerance(ratio, ratio > 1.0)
+    finally:
+        monkeypatch.undo()
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("log_ratio", [-1, -3, -5, -6, -7, -8, -9, -11, -12, -13])
+def test_certificate_and_svd_give_one_verdict(log_ratio):
+    # flattened bases at sigma_min/sigma_max = 10^log_ratio, from
+    # comfortably independent to below the cut: the verdict is the SVD's
+    rng = np.random.default_rng(-log_ratio)
+    n, h = 12, 4
+    left, _ = np.linalg.qr(rng.standard_normal((n, n))
+                           + 1j * rng.standard_normal((n, n)))
+    right, _ = np.linalg.qr(rng.standard_normal((h * n, n))
+                            + 1j * rng.standard_normal((h * n, n)))
+    svals = np.logspace(0.0, log_ratio, n)
+    basis = ((left * svals) @ right.conj().T).reshape(n, h, n)
+    sv = np.linalg.svd(basis.reshape(n, h * n).T, compute_uv=False)
+    if sv[-1] > BASIS_INDEPENDENCE_TOL * sv[0]:
+        IVHSPresentation(h=h, N=n, basis=basis)
+    else:
+        with pytest.raises(InvalidPresentationError):
+            IVHSPresentation(h=h, N=n, basis=basis)
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-200, 1.0, 1e200, 1e300])
+def test_independence_verdict_does_not_depend_on_the_scale(scale):
+    # the Gram matrix of a basis near the ends of the float range must
+    # neither overflow nor warn: the certificate scales by a power of 2
+    rng = np.random.default_rng(4)
+    basis = rng.standard_normal((4, 3, 4)) + 1j * rng.standard_normal((4, 3, 4))
+    dependent = basis.copy()
+    dependent[3] = dependent[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        IVHSPresentation(h=3, N=4, basis=basis * scale)
+        with pytest.raises(InvalidPresentationError):
+            IVHSPresentation(h=3, N=4, basis=dependent * scale)
 
 
 def test_sampled_surface_builds_w_once(monkeypatch):

@@ -61,6 +61,26 @@ def test_eig_examples():
     assert np.all(eigpair_residuals(a, jordan) <= 1e-8)
 
 
+def test_eig_flags_a_near_defective_diagonalizable_frame():
+    # distinct eigenvalues 1 and 1 + 1e-12, eigenvectors (1, 0) and nearly
+    # (1, 1e-12): diagonalizable, with kappa_2 of the unit frame about 2e12
+    a = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-12]])
+    res = eig_general(a)
+    assert res.values[0] != res.values[1]
+    assert 1.5e12 < np.linalg.cond(res.vectors) < 2.5e12
+    assert res.defective
+
+
+def test_eig_returns_the_dual_frame():
+    rng = np.random.default_rng(3)
+    a = random_complex(rng, 9, 9)
+    res = eig_general(a)
+    assert not res.defective
+    expected = np.linalg.solve(res.vectors.T, np.eye(9, dtype=complex))
+    assert np.array_equal(res.dual, expected)
+    assert np.allclose(res.vectors.T @ res.dual, np.eye(9), atol=1e-12)
+
+
 def test_eig_recovers_separated_spectra():
     rng = np.random.default_rng(2)
     for _ in range(25):
