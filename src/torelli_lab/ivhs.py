@@ -104,6 +104,9 @@ class IVHSPresentation:
     __slots__ = ("h", "N", "basis")
 
     def __init__(self, h: int, N: int, basis):
+        if h < 1 or N < 1:
+            raise InvalidPresentationError(
+                f"a presentation needs h >= 1 and N >= 1, got {h} and {N}")
         basis = np.asarray(basis, dtype=complex)
         if basis.shape != (N, h, N):
             raise InvalidPresentationError(

@@ -6,26 +6,29 @@ that is truncated structurally modulo ``t**2``.  Nothing else is truncated:
 every series of the residue chain is a finite Laurent polynomial, since the
 branch ``v = q*(1 - t q^-2)^(1/2)`` is exactly ``q - (t/2) q^-1`` mod
 ``t**2``, so sums and products are exact at every exponent.  Coefficients
-are exact rationals, held as integer numerators over one positive common
-denominator in lowest terms, so the arithmetic runs on ints and
-``Fraction`` appears only at the boundary: the constructor takes ints and
-Fractions (``from_numerators`` and ``linear_combination`` take integer
-numerators over one denominator), and ``coefficient``, ``terms`` and
-``repr`` give Fractions back.  Every operation is pure and exact; floats
-are rejected.
+live on ``_ExactCore``, the one exact core that ``plumbing.JetCoefficients``
+shares: integer numerators over one positive common denominator in lowest
+terms, with one equality, sum and rational scaling.  So the arithmetic runs
+on ints and ``Fraction`` appears only at the boundary: the constructor
+takes ints and Fractions (``from_numerators`` and ``linear_combination``
+take integer numerators over one denominator), and ``coefficient``,
+``terms`` and ``repr`` give Fractions back.  Every operation is pure and
+exact; floats are rejected, and so is a key that is not an integer.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
 
-def _rat(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _rat(value):
+    """``value`` as an exact rational; an int or a Fraction is kept as is."""
+    if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, (float, complex)):
-        raise TypeError("JetSeries arithmetic is exact; floats are not allowed")
+        raise TypeError("jet arithmetic is exact; floats are not allowed")
     return Fraction(value)
 
 
@@ -38,63 +41,108 @@ def _positive_int(den) -> int:
 
 
 def _pair(value):
-    if isinstance(value, tuple):
-        c0, c1 = value
-        return _rat(c0), _rat(c1)
-    return _rat(value), Fraction(0)
+    c0, c1 = value if isinstance(value, tuple) else (value, 0)
+    return _rat(c0), _rat(c1)
 
 
-class JetSeries:
-    """Immutable exact Laurent polynomial ``c0(q) + t*c1(q)`` modulo ``t**2``.
+class _ExactCore:
+    """Immutable exact values held as integer numerators over one
+    denominator.
 
-    ``_num`` maps an exponent ``e`` of ``q`` to the integer numerators
-    ``(n0, n1)`` of ``(c0, c1)`` over the common denominator ``_den > 0``.
-    Absent exponents are zero, and the form is canonical: no stored pair is
-    ``(0, 0)``, ``gcd(_den, every numerator) == 1``, and ``_den == 1`` for
-    the zero series.
+    ``_num`` maps a key to the integer numerators ``(n0, n1)`` over the
+    common denominator ``_den > 0``.  Absent keys are zero, and the form is
+    canonical: no stored pair is ``(0, 0)``, ``gcd(_den, every numerator)
+    == 1``, and ``_den == 1`` for zero.  Values of two different classes
+    are never equal and do not add.
     """
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, terms=None):
-        pairs = {}
-        for e, value in (terms or {}).items():
-            c0, c1 = _pair(value)
-            if c0 or c1:
-                pairs[int(e)] = (c0, c1)
+    def __init__(self, pairs):
+        """The value of ``pairs = {key: (c0, c1)}`` with int or Fraction
+        ``c0`` and ``c1``."""
         # the lcm of reduced denominators leaves the numerators in lowest terms
         den = lcm(*(c.denominator for pair in pairs.values() for c in pair))
-        num = {e: (c0.numerator * (den // c0.denominator),
-                   c1.numerator * (den // c1.denominator))
-               for e, (c0, c1) in pairs.items()}
-        self._init(num, den)
+        self._init({key: (c0.numerator * (den // c0.denominator),
+                          c1.numerator * (den // c1.denominator))
+                    for key, (c0, c1) in pairs.items() if c0 or c1}, den)
 
     def _init(self, num, den):
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _reduced(cls, acc, den) -> "JetSeries":
-        """The series of integer pairs ``acc`` over ``den > 0``, with zero
-        pairs dropped and put in lowest terms by one gcd over the
-        denominator and numerators."""
-        num = {}
+    def _reduced(cls, acc, den):
+        """The value of integer pairs ``acc`` over ``den > 0``, with zero
+        pairs dropped and put in lowest terms."""
+        return cls._lowest(
+            {key: pair for key, pair in acc.items() if pair[0] or pair[1]}, den)
+
+    @classmethod
+    def _lowest(cls, num, den):
+        """The value of integer pairs ``num``, none of them ``(0, 0)``, over
+        ``den > 0``, put in lowest terms by one gcd over the denominator and
+        numerators."""
         g = den
-        for e, (n0, n1) in acc.items():
-            if n0 or n1:
-                num[e] = (n0, n1)
-                if g != 1:
-                    g = gcd(g, n0, n1)
-        if g != 1:
-            # g divides everything; for the zero series g == den
-            num = {e: (n0 // g, n1 // g) for e, (n0, n1) in num.items()}
+        for n0, n1 in num.values():
+            g = gcd(g, n0, n1)
+            if g == 1:
+                break
+        else:
+            # g divides everything; for zero g == den
+            num = {key: (n0 // g, n1 // g) for key, (n0, n1) in num.items()}
             den //= g
         out = object.__new__(cls)
         out._init(num, den)
         return out
 
+    def _result(self, other, out):
+        """``out`` as the sum of ``self`` and ``other`` (a multiple when
+        ``other is self``); a subclass sets its own state here."""
+        return out
+
     def __setattr__(self, name, value):
-        raise AttributeError("JetSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        den = lcm(self._den, other._den)
+        f = den // self._den
+        acc = {key: (f * n0, f * n1) for key, (n0, n1) in self._num.items()}
+        f = den // other._den
+        for key, (n0, n1) in other._num.items():
+            a0, a1 = acc.get(key, (0, 0))
+            acc[key] = (a0 + f * n0, a1 + f * n1)
+        return self._result(other, self._reduced(acc, den))
+
+    def scale(self, factor):
+        """Multiply by an exact rational scalar."""
+        f = _rat(factor)
+        p = f.numerator
+        # a nonzero multiple has no zero pair
+        num = ({key: (p * n0, p * n1) for key, (n0, n1) in self._num.items()}
+               if p else {})
+        return self._result(self, self._lowest(num, self._den * f.denominator))
+
+
+class JetSeries(_ExactCore):
+    """Immutable exact Laurent polynomial ``c0(q) + t*c1(q)`` modulo ``t**2``.
+
+    ``_num`` maps an exponent ``e`` of ``q`` to the numerators ``(n0, n1)``
+    of ``(c0, c1)`` over ``_den``, in the canonical form of ``_ExactCore``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        super().__init__({operator.index(e): _pair(value)
+                          for e, value in (terms or {}).items()})
 
     # ---- constructors -------------------------------------------------
 
@@ -168,11 +216,6 @@ class JetSeries:
         return self._reduced({e: (c[t_order], 0) for e, c in self._num.items()},
                              self._den)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JetSeries):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
     def __repr__(self):
         if self.is_zero:
             return "JetSeries(0)"
@@ -186,35 +229,13 @@ class JetSeries:
 
     # ---- ring operations ------------------------------------------------
 
-    def __add__(self, other: "JetSeries") -> "JetSeries":
-        if not isinstance(other, JetSeries):
-            return NotImplemented
-        den = lcm(self._den, other._den)
-        acc = {}
-        for src, f in ((self, den // self._den), (other, den // other._den)):
-            for e, (n0, n1) in src._num.items():
-                a0, a1 = acc.get(e, (0, 0))
-                acc[e] = (a0 + f * n0, a1 + f * n1)
-        return self._reduced(acc, den)
-
     def __neg__(self) -> "JetSeries":
-        out = object.__new__(JetSeries)
-        out._init({e: (-n0, -n1) for e, (n0, n1) in self._num.items()},
-                  self._den)
-        return out
+        return self.scale(-1)
 
     def __sub__(self, other: "JetSeries") -> "JetSeries":
         if not isinstance(other, JetSeries):
             return NotImplemented
         return self + (-other)
-
-    def scale(self, factor) -> "JetSeries":
-        """Multiply by an exact rational scalar."""
-        f = _rat(factor)
-        p = f.numerator
-        return self._reduced(
-            {e: (p * n0, p * n1) for e, (n0, n1) in self._num.items()},
-            self._den * f.denominator)
 
     def mul(self, other: "JetSeries") -> "JetSeries":
         """Exact product modulo ``t**2``."""

@@ -27,9 +27,9 @@ v^(n-1), are built once per jet order and shared.  Each jet's chain sums
 its terms in one pass and takes one product with the prefactor; every
 identity is checked on chains of its own, never derived from another chain.
 
-Jet coefficients are held as integer numerators over one common
-denominator, as the series are, so the jet arithmetic, the chain and the
-closed forms run on ints.  ``Fraction`` appears only at the boundary: the
+Jet coefficients live on the exact core of ``jets``, keyed by ``(m, n)``,
+and the chain and the closed forms read that layout directly, so all of
+them run on ints.  ``Fraction`` appears only at the boundary: the
 ``JetCoefficients`` constructor takes ints and Fractions, ``b[key]``,
 ``b.b`` and ``items()`` give Fractions back, and the report compares and
 prints Fraction coefficients.
@@ -38,13 +38,13 @@ prints Fraction coefficients.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import UsageError
-from .jets import JetSeries, _rat
+from .jets import JetSeries, _ExactCore, _rat
 
 MAX_ORDER_DEFAULT = 6
 
@@ -53,97 +53,51 @@ class JetOrderError(UsageError):
     """Jet coefficients outside the supported total order."""
 
 
-class JetCoefficients:
+class JetCoefficients(_ExactCore):
     """Finitely supported exact coefficients b[m, n], m, n >= 0,
     m + n <= max_order.
 
-    ``_num`` maps ``(m, n)`` to the integer numerator of b[m, n] over the
-    common denominator ``_den > 0``.  Absent keys are zero, and the form is
-    canonical: no stored numerator is 0, ``gcd(_den, every numerator) ==
-    1``, and ``_den == 1`` for the zero jet.
+    On the exact core of ``jets``: ``_num`` maps ``(m, n)`` to the pair
+    ``(k, 0)``, where ``k`` is the integer numerator of b[m, n] over the
+    common denominator ``_den``.  A sum has the larger ``max_order`` of its
+    terms, and a multiple keeps its own.
     """
 
-    __slots__ = ("max_order", "_num", "_den")
+    __slots__ = ("max_order",)
 
     def __init__(self, b, max_order: int = MAX_ORDER_DEFAULT):
-        ratios = {}
+        max_order = operator.index(max_order)
+        if max_order < 0:
+            raise JetOrderError(
+                f"max_order must be non-negative, got {max_order}")
+        pairs = {}
         for (m, n), value in dict(b).items():
-            m, n = int(m), int(n)
+            m, n = operator.index(m), operator.index(n)
             if m < 0 or n < 0:
                 raise JetOrderError("jet indices must be non-negative")
             if m + n > max_order:
                 raise JetOrderError(
                     f"jet index ({m}, {n}) exceeds max_order {max_order}")
-            if not isinstance(value, (int, Fraction)):
-                value = _rat(value)
-            if value:
-                ratios[(m, n)] = (value.numerator, value.denominator)
-        # the lcm of reduced denominators leaves the numerators in lowest terms
-        den = lcm(*(d for _, d in ratios.values()))
-        self._init({key: p * (den // d) for key, (p, d) in ratios.items()},
-                   den, int(max_order))
-
-    def _init(self, num, den, max_order):
+            pairs[(m, n)] = (_rat(value), 0)
+        super().__init__(pairs)
         object.__setattr__(self, "max_order", max_order)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
 
-    @classmethod
-    def _reduced(cls, num, den, max_order) -> "JetCoefficients":
-        """The jet ``num / den`` for ``den > 0`` and nonzero numerators,
-        put in lowest terms by one gcd over the denominator and numerators."""
-        g = den
-        for k in num.values():
-            g = gcd(g, k)
-            if g == 1:
-                break
-        else:
-            # g divides everything; for the zero jet g == den
-            num = {key: k // g for key, k in num.items()}
-            den //= g
-        out = object.__new__(cls)
-        out._init(num, den, max_order)
+    def _result(self, other, out) -> "JetCoefficients":
+        object.__setattr__(out, "max_order",
+                           max(self.max_order, other.max_order))
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JetCoefficients is immutable")
 
     @property
     def b(self) -> dict:
         """The nonzero coefficients as a new dict ``{(m, n): Fraction}``."""
-        return {key: Fraction(k, self._den) for key, k in self._num.items()}
+        d = self._den
+        return {key: Fraction(k, d) for key, (k, _) in self._num.items()}
 
     def __getitem__(self, key) -> Fraction:
-        return Fraction(self._num.get(key, 0), self._den)
+        return Fraction(self._num.get(key, (0, 0))[0], self._den)
 
     def items(self):
         return sorted(self.b.items())
-
-    def scale(self, factor) -> "JetCoefficients":
-        """Multiply every coefficient by the rational ``factor``."""
-        if not isinstance(factor, (int, Fraction)):
-            factor = _rat(factor)
-        p = factor.numerator
-        num = {key: p * k for key, k in self._num.items()} if p else {}
-        return self._reduced(num, self._den * factor.denominator,
-                             self.max_order)
-
-    def __add__(self, other: "JetCoefficients") -> "JetCoefficients":
-        if not isinstance(other, JetCoefficients):
-            return NotImplemented
-        den = lcm(self._den, other._den)
-        f = den // self._den
-        acc = {key: f * k for key, k in self._num.items()}
-        f = den // other._den
-        for key, k in other._num.items():
-            acc[key] = acc.get(key, 0) + f * k
-        return self._reduced({key: k for key, k in acc.items() if k}, den,
-                             max(self.max_order, other.max_order))
-
-    def __eq__(self, other):
-        if not isinstance(other, JetCoefficients):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
 
 
 @functools.cache
@@ -176,7 +130,7 @@ def residue_pair(b: JetCoefficients):
     """
     prefactor, v_pows = _chain_factors(b.max_order)
     total = JetSeries.linear_combination(
-        ((k, m, v_pows[n]) for (m, n), k in b._num.items()), b._den)
+        ((k, m, v_pows[n]) for (m, n), (k, _) in b._num.items()), b._den)
     result = prefactor.mul(total)
     return result.t_component(0), result.t_component(1)
 
@@ -186,7 +140,7 @@ def closed_form_pair(b: JetCoefficients):
     # integer numerators over _den for omega and over 4*_den for eta
     omega = {}
     eta = {}
-    for (m, n), k in b._num.items():
+    for (m, n), (k, _) in b._num.items():
         e = m + n
         omega[e] = omega.get(e, 0) - k
         eta[e - 2] = eta.get(e - 2, 0) + (2 * n - 1) * k

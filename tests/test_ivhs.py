@@ -191,6 +191,12 @@ def test_presentation_file_packs_the_basis_bit_exactly():
                           np.ascontiguousarray(pres.basis).view(np.uint64))
 
 
+@pytest.mark.parametrize("h,N", [(3, 0), (0, 2)])
+def test_empty_presentation_is_invalid(h, N):
+    with pytest.raises(InvalidPresentationError, match="h >= 1 and N >= 1"):
+        IVHSPresentation(h=h, N=N, basis=np.zeros((N, h, N)))
+
+
 def test_presentation_decode_of_mismatched_shape_is_invalid():
     data = _tiny_presentation_data()
     data["N"] = 4

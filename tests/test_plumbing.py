@@ -136,6 +136,48 @@ def test_jet_coefficient_validation():
         JetCoefficients({(0, 0): 0.5})
 
 
+def test_jet_keys_and_orders_are_integers():
+    for bad in ({(1.5, 0): 1}, {(0, "1"): 1}, {(0.0, 0): 1}):
+        with pytest.raises(TypeError):
+            JetCoefficients(bad)
+    for bad in (2.7, 2.0, "2", None):
+        with pytest.raises(TypeError):
+            JetCoefficients({}, max_order=bad)
+    with pytest.raises(JetOrderError):
+        JetCoefficients({}, -3)
+    for bad in (0.5, "3", 1.0):
+        with pytest.raises(TypeError):
+            JetSeries({bad: 1})
+    assert JetCoefficients({(True, 0): 1}, max_order=True).max_order == 1
+    assert JetCoefficients({}, 0).max_order == 0
+
+
+def test_jets_and_series_do_not_mix():
+    assert not JetCoefficients({}) == JetSeries({})
+    jet = JetCoefficients({(0, 0): 1})
+    for series in (JetSeries.one(), JetSeries({})):
+        assert jet != series and series != jet
+        with pytest.raises(TypeError):
+            jet + series
+        with pytest.raises(TypeError):
+            series + jet
+        with pytest.raises(TypeError):
+            series - jet
+
+
+def test_a_sum_takes_the_larger_order_and_a_multiple_keeps_its_own():
+    low = JetCoefficients({(1, 1): Fraction(1, 2)}, 2)
+    high = JetCoefficients({(0, 6): 3}, 6)
+    for total in (low + high, high + low):
+        assert total.max_order == 6
+        assert total.b == {(1, 1): Fraction(1, 2), (0, 6): 3}
+    assert (low + low).max_order == 2
+    for c in (0, 1, Fraction(-2, 3)):
+        assert low.scale(c).max_order == 2 and high.scale(c).max_order == 6
+    zero = low.scale(-1) + low
+    assert zero == JetCoefficients({}) and zero.max_order == 2
+
+
 def test_jet_coefficients_keep_a_fraction_and_reject_floats():
     value = Fraction(3, 7)
     b = JetCoefficients({(1, 2): value, (0, 1): 2})
@@ -408,9 +450,12 @@ def _assert_jets_match(new, old):
         for n in range(new.max_order + 2 - m):
             assert new[(m, n)] == old[(m, n)]
             assert type(new[(m, n)]) is Fraction
-    # canonical: lowest terms, no stored zero, denominator 1 for zero jets
-    assert new._den > 0 and 0 not in new._num.values()
-    assert gcd(new._den, *new._num.values()) == 1
+    # canonical: lowest terms, no stored zero, denominator 1 for zero jets,
+    # and every stored pair (k, 0) has a zero t-part
+    numerators = [k for k, _ in new._num.values()]
+    assert all(t == 0 for _, t in new._num.values())
+    assert new._den > 0 and 0 not in numerators
+    assert gcd(new._den, *numerators) == 1
     assert new._num or new._den == 1
 
 
