@@ -24,6 +24,7 @@ import numpy as np
 
 from .binforms import ProjectivePointP1
 from .errors import TorelliLabError, UsageError
+from .linalg import _one_blas_thread
 from .ramification import is_general, ramification_divisor
 from .surfaces import (
     WeierstrassSurface,
@@ -169,6 +170,7 @@ def _surface_frame_seed(s: WeierstrassSurface) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@_one_blas_thread
 def synthesize(s: WeierstrassSurface, seed: int, frame_seed=None):
     """Forward model: (presentation, ground truth) for a general surface.
 
@@ -239,13 +241,18 @@ def presentation_to_json_dict(p: IVHSPresentation) -> dict:
     }
 
 
+@_one_blas_thread
 def presentation_from_json_dict(data: dict) -> IVHSPresentation:
     try:
-        h, n = int(data["h"]), int(data["N"])
+        h, n = data["h"], data["N"]
         raw = bytes.fromhex(data["basis"])
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"malformed presentation data, whose basis must be "
                          f"{BASIS_FORMAT}: {exc}") from exc
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (h, n)):
+        raise MalformedPresentationError(
+            f"malformed presentation data: h and N must be JSON integers, "
+            f"got h = {h!r}, N = {n!r} (the basis is {BASIS_FORMAT})")
     if min(h, n) < 1 or len(raw) != 16 * n * h * n:
         raise MalformedPresentationError(
             f"malformed presentation data: {len(raw)} basis bytes for h = {h},"

@@ -13,7 +13,8 @@ on ints and ``Fraction`` appears only at the boundary: the constructor
 takes ints and Fractions (``from_numerators`` and ``linear_combination``
 take integer numerators over one denominator), and ``coefficient``,
 ``terms`` and ``repr`` give Fractions back.  Every operation is pure and
-exact; floats are rejected, and so is a key that is not an integer.
+exact; floats and strings are rejected, and so is a key that is not an
+integer.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ def _rat(value):
     """``value`` as an exact rational; an int or a Fraction is kept as is."""
     if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, (float, complex)):
-        raise TypeError("jet arithmetic is exact; floats are not allowed")
+    if isinstance(value, (float, complex, str)):
+        raise TypeError("jet arithmetic is exact; floats and strings are "
+                        "not allowed")
     return Fraction(value)
 
 

@@ -4,15 +4,67 @@ Thin contract-bearing wrappers over LAPACK via numpy: the guarantees are
 an accuracy bound on the nullspace and, for eigenpairs, the dual frame with
 a completeness check (kappa_F(V) < 1e12), not specific algorithms.  Matrices
 are plain 2-D complex ndarrays; validation rejects non-finite entries.
+
+The numeric entry points of ``ivhs`` and ``recovery`` run under
+``_one_blas_thread``: numpy's bundled OpenBLAS is held to one thread for
+the call and the caller's count is restored on exit.  Their matrices (at
+most 88 x 88, or 88 slices of 88 x 8) are too small to gain from a second
+thread, and on a 2-core machine each call pays for waking it.  The library
+is looked up on the first such call, not at import; without a bundled
+scipy-openblas the decorator does nothing.  The results are bit-for-bit
+those of the default thread count.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TorelliLabError
+
+_blas_threads = None     # (get, set) of the bundled OpenBLAS, () when absent
+
+
+def _find_blas_threads():
+    """The thread-count (get, set) functions of the scipy-openblas bundled
+    with numpy, or () when there is none."""
+    import ctypes
+    from pathlib import Path
+
+    libs = sorted(Path(np.__file__).parent.parent.glob(
+        "numpy.libs/libscipy_openblas64_*.so"))
+    if not libs:
+        return ()
+    lib = ctypes.CDLL(str(libs[0]))
+    get = lib.scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_ = lib.scipy_openblas_set_num_threads64_
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _one_blas_thread(fn):
+    """Run ``fn`` with the bundled OpenBLAS on one thread and restore the
+    caller's count on exit, also when ``fn`` raises."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        global _blas_threads
+        if _blas_threads is None:
+            _blas_threads = _find_blas_threads()
+        if not _blas_threads:
+            return fn(*args, **kwargs)
+        get, set_ = _blas_threads
+        before = get()
+        set_(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            set_(before)
+
+    return wrapper
 
 
 class EigenConvergenceError(TorelliLabError):

@@ -38,7 +38,7 @@ from .ivhs import (
     normalize_phase_rows,
     synthesize,
 )
-from .linalg import EigenConvergenceError
+from .linalg import EigenConvergenceError, _one_blas_thread
 from .surfaces import WeierstrassSurface, degree_gate_ok, invariants
 
 EXTRACTION_RETRIES = 10
@@ -106,6 +106,7 @@ def _factor_order(x: np.ndarray) -> np.ndarray:
     return np.lexsort(keys.T[::-1])
 
 
+@_one_blas_thread
 def extract_rank_ones(presentation: IVHSPresentation, seed: int):
     """All N rank-1 factors of the presentation, each with confidence above
     ``CONFIDENCE_MIN``, or ``DegeneratePresentationError``."""
@@ -254,6 +255,7 @@ def expected_quadric_dimension(h: int) -> int:
     return (h - 1) * (h - 2) // 2
 
 
+@_one_blas_thread
 def recover_geometry(factors, h: int) -> RecoveredGeometry:
     """Quadric interpolation through the recovered points of P^(h-1), with
     the nullspace cut at ``NULLSPACE_REL_TOL``."""
@@ -319,6 +321,7 @@ class RoundTripReport:
         }
 
 
+@_one_blas_thread
 def match_points(recovered: np.ndarray, truth: np.ndarray) -> MatchReport:
     """Optimal bipartite matching of projective point sets in chordal
     distance; dist[i, j] is the stable form of ``chordal_distance``,

@@ -256,7 +256,8 @@ def test_module_entrypoint_runs():
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
     """A valid surface and presentation, a text file that is not JSON, a
-    file that is not UTF-8, and presentations whose basis is malformed."""
+    file that is not UTF-8, presentations whose basis is malformed, and
+    presentations whose h or N is not an integer."""
     root = tmp_path_factory.mktemp("inputs")
     files = {name: root / f"{name}.json"
              for name in ("surface", "presentation", "text", "binary")}
@@ -286,6 +287,13 @@ def input_files(tmp_path_factory):
             bad["basis"] = basis
         files[name] = root / f"{name}.json"
         files[name].write_text(json.dumps(bad), encoding="utf-8")
+    # h and N that are not JSON integers, with a well-formed basis
+    for name, key, value in (("floath", "h", data["h"] + 0.9),
+                             ("stringh", "h", str(data["h"])),
+                             ("floatn", "N", data["N"] + 0.5)):
+        files[name] = root / f"{name}.json"
+        files[name].write_text(json.dumps({**data, key: value}),
+                               encoding="utf-8")
     return files
 
 
@@ -311,6 +319,9 @@ USAGE_ERRORS = [
     ["recover", "{numberbasis}"],
     ["recover", "{nobasis}"],
     ["recover", "{nested}"],
+    ["recover", "{floath}"],
+    ["recover", "{stringh}"],
+    ["recover", "{floatn}"],
     ["generate", "--h", "3", "--i2", "1/0"],
     ["roundtrip", "--h", "2"],
     # rejected by the argument parser itself

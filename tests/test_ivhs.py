@@ -17,6 +17,7 @@ from torelli_lab.ivhs import (
     MIXER_COND_MAX,
     InvalidPresentationError,
     IVHSPresentation,
+    MalformedPresentationError,
     NonGenericSurfaceError,
     canonical_point,
     load_presentation,
@@ -141,16 +142,27 @@ def _nested_basis(data):
 
 # The last five are files in the nested [re, im] list layout, well formed or
 # with one of the defects that layout could carry; each is rejected as a file
-# of the old layout, whatever its defect.
+# of the old layout, whatever its defect.  h and N are JSON integers: a
+# float, a string or a bool is rejected, not truncated.
+NOT_INTEGERS = {"float h": ("h", 2.9), "string h": ("h", "2"),
+                "float N": ("N", 3.5), "bool h": ("h", True),
+                "integral float N": ("N", 3.0)}
+
+
 @pytest.mark.parametrize("defect", [
     "non-hex", "odd length", "missing entry", "extra byte", "not a string",
-    "no basis", "nested lists", "ragged row", "one part", "three parts",
-    "string part"])
+    "no basis", *NOT_INTEGERS, "nested lists", "ragged row", "one part",
+    "three parts", "string part"])
 def test_presentation_decode_rejects_malformed_data(defect):
     data = _tiny_presentation_data()
     assert presentation_from_json_dict(data).basis.shape == (3, 2, 3)
     packed = data["basis"]
-    if defect == "non-hex":
+    if defect in NOT_INTEGERS:
+        key, value = NOT_INTEGERS[defect]
+        data[key] = value
+        if value is True:       # with a basis that h = 1 would fill
+            data["basis"] = packed[:2 * 16 * 3 * 1 * 3]
+    elif defect == "non-hex":
         data["basis"] = packed[:10] + "zz" + packed[12:]
     elif defect == "odd length":
         data["basis"] = packed[:-1]
@@ -177,6 +189,8 @@ def test_presentation_decode_rejects_malformed_data(defect):
         presentation_from_json_dict(data)
     assert "hex string of (N, h, N) little-endian complex128 bytes" \
         in str(err.value)
+    if defect in NOT_INTEGERS:
+        assert isinstance(err.value, MalformedPresentationError)
 
 
 def test_presentation_file_packs_the_basis_bit_exactly():

@@ -184,6 +184,16 @@ def test_float_and_complex_inputs_raise_type_error():
         JetSeries.monomial(0, c1=1.5)
 
 
+def test_strings_are_rejected_not_parsed():
+    one = JetSeries.one()
+    for bad in ("0.1", "3", "1/2", (1, "1/2")):
+        with pytest.raises(TypeError):
+            JetSeries({0: bad})
+    for bad in ("3", "0.5"):
+        with pytest.raises(TypeError):
+            one.scale(bad)
+
+
 def test_series_are_immutable():
     s = JetSeries.one()
     for name in ("_num", "_den", "other"):

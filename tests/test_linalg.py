@@ -1,9 +1,18 @@
-"""Accuracy contracts of the dense complex kernel."""
+"""Accuracy contracts of the dense complex kernel, and the one-thread
+scope of the numeric entry points."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torelli_lab
+from torelli_lab import ivhs, linalg, recovery
 from torelli_lab.linalg import as_cmatrix, eig_general, nullspace
+from torelli_lab.recovery import StageError
+from torelli_lab.surfaces import make_random_general
 
 
 def random_complex(rng, rows, cols):
@@ -97,3 +106,126 @@ def test_eig_recovers_separated_spectra():
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-8 * scale
         norm = np.linalg.norm(a, 2)
         assert np.all(eigpair_residuals(a, res) <= 1e-8 * max(norm, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the numeric entry points run with the bundled OpenBLAS on one thread
+# ---------------------------------------------------------------------------
+
+CALLER_THREADS = 3      # neither 1 nor the default, so a restore shows
+SPIED = ("eig", "eigvals", "eigvalsh", "svd", "solve", "qr", "norm")
+
+
+@pytest.fixture
+def blas_seen(monkeypatch):
+    """``(get, seen)``: the bundled OpenBLAS thread count, set to
+    CALLER_THREADS for the test, and the counts read at every call of the
+    ``np.linalg`` functions in SPIED."""
+    found = linalg._find_blas_threads()
+    if not found:
+        pytest.skip("numpy has no bundled scipy-openblas")
+    get, set_ = found
+    seen = []
+    for name in SPIED:
+        def spy(*args, _original=getattr(np.linalg, name), **kwargs):
+            seen.append(get())
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    before = get()
+    set_(CALLER_THREADS)
+    yield get, seen
+    set_(before)
+
+
+@pytest.fixture(scope="module")
+def entry_point_calls():
+    """A call of each decorated entry point on an h = 3 surface."""
+    s = make_random_general(3, seed=1)
+    pres, truth = ivhs.synthesize(s, 1)
+    data = ivhs.presentation_to_json_dict(pres)
+    factors = recovery.extract_rank_ones(pres, 1)
+    geometry = recovery.recover_geometry(factors, 3)
+    truth_x = np.vstack([ep.x for ep in truth.points])
+    return {
+        "synthesize": lambda: ivhs.synthesize(s, 2),
+        "presentation_from_json_dict":
+            lambda: ivhs.presentation_from_json_dict(data),
+        "extract_rank_ones": lambda: recovery.extract_rank_ones(pres, 2),
+        "recover_geometry": lambda: recovery.recover_geometry(factors, 3),
+        "match_points":
+            lambda: recovery.match_points(geometry.z_points, truth_x),
+    }
+
+
+ENTRY_POINTS = ("synthesize", "presentation_from_json_dict",
+                "extract_rank_ones", "recover_geometry", "match_points")
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_point_runs_on_one_blas_thread(name, entry_point_calls,
+                                             blas_seen):
+    get, seen = blas_seen
+    entry_point_calls[name]()
+    assert seen and set(seen) == {1}
+    assert get() == CALLER_THREADS
+
+
+def test_the_count_is_restored_after_a_raise(blas_seen):
+    get, seen = blas_seen
+    with pytest.raises(StageError):
+        recovery.roundtrip(make_random_general(3, seed=5), seed=5,
+                           corrupt_span=True)
+    assert 1 in seen
+    assert get() == CALLER_THREADS
+
+
+def test_the_count_is_restored_after_nested_calls(blas_seen):
+    # roundtrip itself is not scoped: it calls synthesize, extraction,
+    # interpolation and matching, each of which is
+    get, seen = blas_seen
+    assert recovery.roundtrip(make_random_general(3, seed=1), 1).status == "ok"
+    assert 1 in seen
+    assert get() == CALLER_THREADS
+
+    @linalg._one_blas_thread
+    def inner():
+        return get()
+
+    @linalg._one_blas_thread
+    def outer():
+        return inner(), get()
+
+    assert outer() == (1, 1)
+    assert get() == CALLER_THREADS
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_without_the_library_the_entry_points_run_unchanged(
+        name, entry_point_calls, blas_seen, monkeypatch):
+    get, seen = blas_seen
+    monkeypatch.setattr(linalg, "_blas_threads", ())
+    entry_point_calls[name]()
+    assert seen and set(seen) == {CALLER_THREADS}
+    assert get() == CALLER_THREADS
+
+
+FRESH_VERIFY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import torelli_lab
+from torelli_lab import linalg, plumbing, recovery
+report = plumbing.verification_report(trials=1)
+print(report["status"], linalg._blas_threads is None)
+recovery.match_points(np.eye(3, dtype=complex), np.eye(3, dtype=complex))
+print(linalg._blas_threads is None)
+"""
+
+
+def test_import_and_a_verifier_trial_never_look_up_the_library():
+    # the set-up of the benchmark's verify workload; the positive control
+    # shows that a scoped call does the lookup
+    src = str(Path(torelli_lab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", FRESH_VERIFY, src],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.split() == ["ok", "True", "False"]

@@ -136,6 +136,14 @@ def test_jet_coefficient_validation():
         JetCoefficients({(0, 0): 0.5})
 
 
+def test_jet_values_are_not_parsed_from_strings():
+    for bad in ("0.1", "3", "1/2"):
+        with pytest.raises(TypeError):
+            JetCoefficients({(0, 0): bad})
+        with pytest.raises(TypeError):
+            JetCoefficients({(0, 0): 1}).scale(bad)
+
+
 def test_jet_keys_and_orders_are_integers():
     for bad in ({(1.5, 0): 1}, {(0, "1"): 1}, {(0.0, 0): 1}):
         with pytest.raises(TypeError):

@@ -340,29 +340,47 @@ def test_roundtrip_h6():
     assert report.quadric_dim == expected_quadric_dimension(6) == 10
 
 
-def test_roundtrip_golden_digest():
-    """The h = 5 reports of seeds 0..9, without their timings, are pinned:
-    a change to matching, extraction or interpolation that moves a single
-    reported bit moves the digest."""
+ROUNDTRIP_DIGEST = "2918e48c70d5ab286c9275bf2e4124b39b86f210a41081323828f9a4d595f058"
+RECOVER_Z_DIGEST = "4b3dbadfa04968c6c53f0ff476c9a008583e080340ad6bfd26ddcaeb5ad74490"
+
+
+def _roundtrip_digest():
     digest = hashlib.sha256()
     for seed in range(10):
         report = roundtrip(make_random_general(5, seed), seed).to_json_dict()
         del report["stage_timings_ms"]
         digest.update(json.dumps(report, sort_keys=True).encode())
-    assert digest.hexdigest() == \
-        "2918e48c70d5ab286c9275bf2e4124b39b86f210a41081323828f9a4d595f058"
+    return digest.hexdigest()
 
 
-def test_recover_z_points_golden_digest():
-    """The recovered points of one h = 8 presentation, read back from its
-    file data as ``torelli-lab recover`` reads it, are pinned to the byte."""
+def _recover_z_digest():
     pres, _ = synthesize(make_random_general(8, seed=1), seed=1)
     loaded = ivhs.presentation_from_json_dict(
         json.loads(json.dumps(ivhs.presentation_to_json_dict(pres))))
     geometry = recover_geometry(extract_rank_ones(loaded, seed=1), loaded.h)
     z = np.ascontiguousarray(geometry.z_points, "<c16")
-    assert hashlib.sha256(z.tobytes()).hexdigest() == \
-        "4b3dbadfa04968c6c53f0ff476c9a008583e080340ad6bfd26ddcaeb5ad74490"
+    return hashlib.sha256(z.tobytes()).hexdigest()
+
+
+def test_roundtrip_golden_digest():
+    """The h = 5 reports of seeds 0..9, without their timings, are pinned:
+    a change to matching, extraction or interpolation that moves a single
+    reported bit moves the digest."""
+    assert _roundtrip_digest() == ROUNDTRIP_DIGEST
+
+
+def test_recover_z_points_golden_digest():
+    """The recovered points of one h = 8 presentation, read back from its
+    file data as ``torelli-lab recover`` reads it, are pinned to the byte."""
+    assert _recover_z_digest() == RECOVER_Z_DIGEST
+
+
+def test_golden_digests_do_not_depend_on_the_blas_scope(monkeypatch):
+    """With the OpenBLAS lookup forced to "absent" the entry points run at
+    the caller's thread count, and every byte is the same."""
+    monkeypatch.setattr(linalg, "_blas_threads", ())
+    assert _roundtrip_digest() == ROUNDTRIP_DIGEST
+    assert _recover_z_digest() == RECOVER_Z_DIGEST
 
 
 def test_roundtrip_invariant_under_synthesis_randomness():
