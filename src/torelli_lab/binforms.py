@@ -8,13 +8,16 @@ a ``fractions.Fraction`` otherwise, so forms with integer coefficients
 multiply as Python ints.  Float or complex coefficients are rejected.  Forms
 still evaluate at complex points.
 
-Exact decisions (gcd, squarefreeness, multiplicity structure) run on one
+Exact decisions (gcd, coprimality, multiplicity structure) run on one
 integer kernel: the input is cleared of denominators and content once, and
 the gcd, Yun's decomposition and exact division work on primitive integer
 lists.  Every decision is one gcd, by one certified path: the heuristic gcd
 GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989), whose candidate
 is accepted only when it divides both inputs exactly over Z, with the
-primitive pseudo-remainder sequence (PRS) as its only fallback.  Numerical
+primitive pseudo-remainder sequence (PRS) as its only fallback.  There is
+no separate squarefree test: squarefreeness is read off Yun's
+decomposition, whose first gcd is that of (a, a').  The first transvectant
+is computed on the same polynomial layer, from its affine identity.  Numerical
 roots are companion-matrix eigenvalues polished by one Newton step, and
 every root is checked against a backward-error bound.
 """
@@ -200,15 +203,6 @@ def gcd_is_constant(a, b) -> bool:
     if not a or not b:
         return False
     return poly_degree(poly_gcd(a, b)) == 0
-
-
-def poly_is_squarefree(a) -> bool:
-    a = poly_strip(a)
-    if not a:
-        return False
-    if len(a) <= 2:
-        return True
-    return gcd_is_constant(a, poly_derivative(a))
 
 
 def squarefree_decomposition(a):
@@ -455,10 +449,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
 
-    def affine(self):
-        """Coefficients as the affine polynomial on the chart Z0 = 1."""
-        return list(self.coeffs)
-
     def affine_degree(self) -> int:
         """Largest index with a nonzero coefficient."""
         return poly_degree(self.coeffs)
@@ -509,18 +499,6 @@ class BinaryForm:
             out = out * self
         return out
 
-    def derivative_z0(self) -> "BinaryForm":
-        d = self.degree
-        if d == 0:
-            raise ValueError("cannot lower the degree of a constant form")
-        return BinaryForm(d - 1, [(d - k) * self.coeffs[k] for k in range(d)])
-
-    def derivative_z1(self) -> "BinaryForm":
-        d = self.degree
-        if d == 0:
-            raise ValueError("cannot lower the degree of a constant form")
-        return BinaryForm(d - 1, [k * self.coeffs[k] for k in range(1, d + 1)])
-
     # ---- evaluation ---------------------------------------------------------
 
     def eval_pair(self, z0, z1):
@@ -543,13 +521,18 @@ def transvectant_first(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Jacobian-determinant covariant f_Z0 g_Z1 - f_Z1 g_Z0.
 
     For forms of degrees m, n >= 1 the result has exact degree m + n - 2
-    (possibly the zero form when f and g are algebraically dependent).  On
-    the affine chart it equals hcf(m, n) * (m' f g' - n' g f') with
-    m' = m/hcf, n' = n/hcf.
+    (possibly the zero form when f and g are algebraically dependent).  By
+    Euler's identity Z0 f_Z0 + Z1 f_Z1 = m f, on the affine chart Z0 = 1 it
+    equals m f g' - n g f', which is how it is computed; the terms of
+    degree m + n - 1 cancel.
     """
-    if f.degree < 1 or g.degree < 1:
+    m, n = f.degree, g.degree
+    if m < 1 or n < 1:
         raise ValueError("transvectant needs forms of degree at least 1")
-    return f.derivative_z0() * g.derivative_z1() - f.derivative_z1() * g.derivative_z0()
+    fa, ga = f.coeffs, g.coeffs
+    w = poly_add(poly_scale(poly_mul(fa, poly_derivative(ga)), m),
+                 poly_scale(poly_mul(ga, poly_derivative(fa)), -n))
+    return BinaryForm.from_affine(w, m + n - 2)
 
 
 def roots_projective(f: BinaryForm) -> DivisorP1:
@@ -576,16 +559,6 @@ def divisor_from_factors(f: BinaryForm, factors) -> DivisorP1:
     if inf_mult > 0:
         entries.append((ProjectivePointP1.infinity(), inf_mult))
     return DivisorP1(tuple(entries))
-
-
-def form_is_squarefree(f: BinaryForm) -> bool:
-    """Exact projective squarefreeness (affine part and infinity together)."""
-    if f.is_zero:
-        raise ZeroFormError("squarefreeness of the zero form is undefined")
-    if f.mult_at_infinity() > 1:
-        return False
-    aff = poly_strip(f.coeffs)
-    return poly_is_squarefree(aff)
 
 
 def forms_coprime(f: BinaryForm, g: BinaryForm) -> bool:

@@ -14,8 +14,8 @@ at each prescribed point via a0 = 3 s^2, b0 = s^3, b1 = a1 s / 2.
 
 Genericity is decided in rational arithmetic without root finding; floats
 appear only in reported fibre coordinates.  A surface object computes its
-discriminant, its ramification form W, the squarefree decomposition of W
-and its genericity report at most once and keeps them.
+discriminant Delta and its ramification form W, the squarefree decomposition
+of each, and its genericity report at most once and keeps them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from . import binforms
 from .binforms import (
     BinaryForm,
     ProjectivePointP1,
-    form_is_squarefree,
     forms_coprime,
     gcd_is_constant,
     poly_degree,
@@ -124,14 +123,14 @@ class Invariants:
 class WeierstrassSurface:
     """Exact Weierstrass data (g4, g6) over a genus-q base (q = 0 in v1).
 
-    The slots ``_delta``, ``_w``, ``_w_factors`` and ``_report`` keep the
-    facts computed by ``discriminant``, ``ramification_form``,
-    ``ramification_factors`` and ``genericity``; they take no part in
-    equality, repr or the JSON form.
+    The slots ``_delta``, ``_delta_factors``, ``_w``, ``_w_factors`` and
+    ``_report`` keep the facts computed by ``discriminant``,
+    ``discriminant_factors``, ``ramification_form``, ``ramification_factors``
+    and ``genericity``; they take no part in equality, repr or the JSON form.
     """
 
-    __slots__ = ("q", "dL", "g4", "g6", "_delta", "_w", "_w_factors",
-                 "_report")
+    __slots__ = ("q", "dL", "g4", "g6", "_delta", "_delta_factors", "_w",
+                 "_w_factors", "_report")
 
     def __init__(self, dL: int, g4: BinaryForm, g6: BinaryForm, q: int = 0):
         if q != 0:
@@ -150,7 +149,7 @@ class WeierstrassSurface:
         object.__setattr__(self, "dL", dL)
         object.__setattr__(self, "g4", g4)
         object.__setattr__(self, "g6", g6)
-        for name in ("_delta", "_w", "_w_factors", "_report"):
+        for name in self.__slots__[4:]:    # the stored facts
             object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value):
@@ -223,6 +222,17 @@ def discriminant(s: WeierstrassSurface) -> BinaryForm:
     return delta
 
 
+def discriminant_factors(s: WeierstrassSurface):
+    """Squarefree decomposition of the affine part of Delta, as
+    ``squarefree_decomposition`` gives it.  Genericity clause (a) and the
+    fibre table both read it, so Delta's multiplicities are found once per
+    surface.  Both read Delta itself from the ``_delta`` slot after this
+    call, so each asks ``discriminant`` once."""
+    delta = discriminant(s)
+    return _stored(s, "_delta_factors",
+                   lambda: squarefree_decomposition(delta.coeffs))
+
+
 def ramification_form(s: WeierstrassSurface) -> BinaryForm:
     """The transvectant W of (g4, g6); raises when identically zero."""
     w = _stored(s, "_w", lambda: transvectant_first(s.g4, s.g6))
@@ -251,32 +261,27 @@ def classify_fibers(s: WeierstrassSurface) -> FiberReport:
     multiplicity and vanishing decisions are exact; floats only locate the
     reported points.
     """
-    delta = discriminant(s)
+    factors = discriminant_factors(s)
+    delta = s._delta
     records = []
     exact_total = 0
-    aff = poly_strip(delta.coeffs)
     g4_aff = poly_strip(s.g4.coeffs)
-    if len(aff) > 1:
-        for factor, mult in squarefree_decomposition(aff):
-            exact_total += mult * poly_degree(factor)
-            shared = binforms.poly_gcd(factor, g4_aff)
-            if poly_degree(shared) > 0:
-                additive_part = shared
-                inert_part = binforms.poly_divexact(factor, additive_part)
-            else:
-                additive_part = []
-                inert_part = factor
-            for piece, vanishes in ((inert_part, False), (additive_part, True)):
-                if poly_degree(piece) < 1:
-                    continue
-                for root in binforms._roots_dense([complex(c) for c in piece]):
-                    records.append(FiberRecord(
-                        point=ProjectivePointP1.from_affine(root),
-                        delta_val=mult,
-                        g4_vanishes=vanishes,
-                        kodaira="additive_other" if vanishes else f"I{mult}",
-                    ))
-    v_inf = delta.degree - (len(aff) - 1)
+    for factor, mult in factors:
+        exact_total += mult * poly_degree(factor)
+        # the part of the factor where g4 vanishes too, and the rest
+        additive_part = binforms.poly_gcd(factor, g4_aff)
+        inert_part = binforms.poly_divexact(factor, additive_part)
+        for piece, vanishes in ((inert_part, False), (additive_part, True)):
+            if poly_degree(piece) < 1:
+                continue
+            for root in binforms._roots_dense([complex(c) for c in piece]):
+                records.append(FiberRecord(
+                    point=ProjectivePointP1.from_affine(root),
+                    delta_val=mult,
+                    g4_vanishes=vanishes,
+                    kodaira="additive_other" if vanishes else f"I{mult}",
+                ))
+    v_inf = delta.mult_at_infinity()
     if v_inf > 0:
         exact_total += v_inf
         g4_inf_zero = not s.g4.coeffs[-1]
@@ -337,9 +342,11 @@ def genericity(s: WeierstrassSurface) -> GeneralityReport:
     Clause (a) is decided as "Delta is squarefree".  A fibre is I1 exactly
     at a simple zero of Delta where g4 does not vanish, and at a zero p of
     Delta with g4(p) = 0 also g6(p) = 0, so ord_p Delta >= 2; the point at
-    infinity behaves the same.  Clause (b) reads the stored
-    ``ramification_factors``, which the ramification divisor reuses.  Raises
-    ``DegenerateSurfaceError`` when Delta vanishes identically.
+    infinity behaves the same.  Clauses (a) and (b) are one rule,
+    ``_reduced``, read off the stored ``discriminant_factors`` and
+    ``ramification_factors``, which the fibre table and the ramification
+    divisor reuse.  Raises ``DegenerateSurfaceError`` when Delta vanishes
+    identically.
 
     Clause (a) implies clause (c), so W and Delta are tested for a common
     root only when Delta is not squarefree.  By Euler's identity, for
@@ -354,9 +361,16 @@ def genericity(s: WeierstrassSurface) -> GeneralityReport:
     return _stored(s, "_report", lambda: _decide_genericity(s))
 
 
+def _reduced(form: BinaryForm, factors) -> bool:
+    """The nonzero ``form`` has no multiple root, given the squarefree
+    decomposition ``factors`` of its affine part."""
+    return form.mult_at_infinity() <= 1 and all(m == 1 for _, m in factors)
+
+
 def _decide_genericity(s: WeierstrassSurface) -> GeneralityReport:
-    delta = discriminant(s)
-    all_i1 = form_is_squarefree(delta)
+    factors = discriminant_factors(s)
+    delta = s._delta
+    all_i1 = _reduced(delta, factors)
     failed = [] if all_i1 else ["a"]
     try:
         w = ramification_form(s)
@@ -368,8 +382,7 @@ def _decide_genericity(s: WeierstrassSurface) -> GeneralityReport:
             failed_clauses=tuple(failed + ["b", "c"]),
             warnings=("ramification form vanishes identically",),
         )
-    reduced = w.mult_at_infinity() <= 1 and all(
-        m == 1 for _, m in ramification_factors(s))
+    reduced = _reduced(w, ramification_factors(s))
     if not reduced:
         failed.append("b")
     disjoint = all_i1 or forms_coprime(w, delta)
@@ -546,12 +559,23 @@ def surface_to_json_dict(s: WeierstrassSurface) -> dict:
 
 
 def surface_from_json_dict(data: dict) -> WeierstrassSurface:
+    """The surface of a surface file's JSON object; ``UsageError`` unless q
+    and dL are JSON integers and g4 and g6 lists of JSON integers and strings
+    that ``Fraction`` parses.  Nothing is truncated or rounded."""
     try:
-        q = int(data["q"])
-        dL = int(data["dL"])
-        g4 = BinaryForm(4 * dL, [Fraction(c) for c in data["g4"]])
-        g6 = BinaryForm(6 * dL, [Fraction(c) for c in data["g6"]])
-    except (KeyError, ValueError, TypeError) as exc:
+        q, dL, g4, g6 = data["q"], data["dL"], data["g4"], data["g6"]
+        if type(q) is not int or type(dL) is not int:
+            raise TypeError(f"q and dL must be JSON integers, got q = {q!r}, "
+                            f"dL = {dL!r}")
+        if type(g4) is not list or type(g6) is not list:
+            raise TypeError("g4 and g6 must be lists of coefficients")
+        for c in g4 + g6:
+            if type(c) not in (int, str):
+                raise TypeError(f"coefficient {c!r} is neither a JSON "
+                                "integer nor a rational string")
+        g4 = BinaryForm(4 * dL, [Fraction(c) for c in g4])
+        g6 = BinaryForm(6 * dL, [Fraction(c) for c in g6])
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed surface data: {exc}") from exc
     return WeierstrassSurface(dL, g4, g6, q)
 

@@ -3,7 +3,16 @@ import random
 import numpy as np
 import pytest
 
-from torelli_lab.binforms import CLUSTER_TOL, BinaryForm, DivisorP1, ProjectivePointP1
+from torelli_lab.binforms import (
+    CLUSTER_TOL,
+    BinaryForm,
+    DivisorP1,
+    ProjectivePointP1,
+    ZeroFormError,
+    gcd_is_constant,
+    poly_derivative,
+    poly_strip,
+)
 from torelli_lab.ivhs import IVHSPresentation
 from torelli_lab.plumbing import JetCoefficients, residue_pair
 
@@ -13,6 +22,27 @@ def random_exact_form(rng: random.Random, degree: int, bound: int = 9) -> Binary
     while coeffs[-1] == 0:
         coeffs[-1] = rng.randint(-bound, bound)
     return BinaryForm(degree, coeffs)
+
+
+def poly_is_squarefree(a) -> bool:
+    """Squarefreeness as the one gcd test gcd(a, a') = 1, apart from Yun's
+    decomposition that the package reads it from: an independent oracle."""
+    a = poly_strip(a)
+    if not a:
+        return False
+    if len(a) <= 2:
+        return True
+    return gcd_is_constant(a, poly_derivative(a))
+
+
+def form_is_squarefree(f: BinaryForm) -> bool:
+    """Exact projective squarefreeness (affine part and infinity together),
+    by ``poly_is_squarefree``."""
+    if f.is_zero:
+        raise ZeroFormError("squarefreeness of the zero form is undefined")
+    if f.mult_at_infinity() > 1:
+        return False
+    return poly_is_squarefree(f.coeffs)
 
 
 def multiplicity_at(divisor: DivisorP1, point: ProjectivePointP1) -> int:

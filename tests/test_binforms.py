@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import multiplicity_at, random_exact_form
+from conftest import (
+    form_is_squarefree,
+    multiplicity_at,
+    poly_is_squarefree,
+    random_exact_form,
+)
 from torelli_lab import binforms
 from torelli_lab.binforms import (
     CLUSTER_TOL,
@@ -18,14 +23,12 @@ from torelli_lab.binforms import (
     DivisorP1,
     ProjectivePointP1,
     ZeroFormError,
-    form_is_squarefree,
     forms_coprime,
     poly_add,
     poly_derivative,
     poly_divexact,
     poly_gcd,
     poly_degree,
-    poly_is_squarefree,
     poly_mul,
     poly_scale,
     poly_strip,
@@ -51,8 +54,10 @@ def eval_point(f: BinaryForm, p: ProjectivePointP1) -> complex:
 def affine_transvectant(f: BinaryForm, g: BinaryForm):
     """The classical weighted combination m' f g' - n' g f' on the chart Z0=1.
 
-    Returned as an affine coefficient list; used to cross-check the
-    homogeneous Jacobian determinant.
+    Returned as an affine coefficient list.  ``transvectant_first`` computes
+    with the same identity times hcf(m, n), so the tests that use this pin
+    that scaling only; the Jacobian from the homogeneous partials and the
+    sympy Jacobian are W's independent references.
     """
     if f.degree < 1 or g.degree < 1:
         raise ValueError("transvectant needs forms of degree at least 1")
@@ -434,6 +439,39 @@ def test_transvectant_against_symbolic_jacobian():
             d = ours.degree
             expected = poly.coeff_monomial(z0 ** (d - k) * z1 ** k) if poly else 0
             assert Fraction(int(sympy.Integer(expected))) == c
+
+
+def _jacobian_from_partials(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """f_Z0 g_Z1 - f_Z1 g_Z0 built from the coefficients of the four
+    homogeneous partial derivatives, with no affine identity."""
+    def partials(h):
+        d, c = h.degree, h.coeffs
+        return ([(d - k) * c[k] for k in range(d)],
+                [k * c[k] for k in range(1, d + 1)])
+
+    def product(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    (f0, f1), (g0, g1) = partials(f), partials(g)
+    return BinaryForm(f.degree + g.degree - 2,
+                      [x - y for x, y in zip(product(f0, g1), product(f1, g0))])
+
+
+def test_transvectant_equals_the_jacobian_of_the_partials():
+    # zero leading coefficients (roots at infinity) and Fraction entries
+    rng = random.Random(20)
+    for _ in range(400):
+        forms = []
+        for degree in (rng.randint(1, 12), rng.randint(1, 12)):
+            coeffs = [rng.choice((0, rng.randint(-9, 9),
+                                  Fraction(rng.randint(-9, 9), rng.randint(1, 7))))
+                      for _ in range(degree + 1)]
+            forms.append(BinaryForm(degree, coeffs))
+        assert transvectant_first(*forms) == _jacobian_from_partials(*forms)
 
 
 def test_transvectant_rejects_constants():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import torelli_lab
-from torelli_lab import ivhs
+from torelli_lab import ivhs, surfaces
 from torelli_lab.cli import build_parser, main
 from torelli_lab.surfaces import make_with_I2, save_surface
 
@@ -355,6 +355,43 @@ def test_bad_input_is_a_usage_error_without_a_traceback(input_files, argv):
     assert proc.stderr.startswith("error:usage: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# surface files whose q or dL is not a JSON integer, whose g4 is not a list,
+# or with a coefficient that is neither a JSON integer nor a rational string
+SURFACE_DEFECTS = {
+    "float dL": ("dL", 4.9),
+    "float q": ("q", 0.5),
+    "integral float dL": ("dL", 4.0),
+    "bool q": ("q", False),
+    "string dL": ("dL", "4"),
+    "object g4": ("g4", {str(k): 1 for k in range(17)}),
+    "infinite coefficient": ("g4", [float("inf")] + [1] * 16),
+    "nan coefficient": ("g4", [float("nan")] + [1] * 16),
+    "float coefficient": ("g4", [0.1] + [1] * 16),
+    "bool coefficient": ("g4", [True] + [1] * 16),
+    "zero denominator": ("g4", ["1/0"] + [1] * 16),
+}
+
+
+@pytest.mark.parametrize("defect", SURFACE_DEFECTS)
+def test_malformed_surface_file_is_a_usage_error(tmp_path, capsys, defect):
+    key, value = SURFACE_DEFECTS[defect]
+    data = {"q": 0, "dL": 4, "g4": ["1"] * 17, "g6": ["1"] * 25, key: value}
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:usage: malformed surface data: ")
+    assert out == ""
+
+
+def test_surface_coefficients_may_be_json_integers(tmp_path):
+    surface = make_with_I2(3, [0], seed=1)
+    data = surfaces.surface_to_json_dict(surface)
+    data["g6"] = [int(c) if c.lstrip("-").isdigit() else c for c in data["g6"]]
+    assert any(isinstance(c, int) for c in data["g6"])
+    assert surfaces.surface_from_json_dict(data) == surface
 
 
 def test_each_subcommand_has_exactly_its_pinned_options():

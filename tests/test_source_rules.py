@@ -32,7 +32,7 @@ PLUMBING = Path(torelli_lab.__file__).parent / "plumbing.py"
 # with every ``poly_*`` function, the exact layer of binforms
 EXACT_LAYER = {"_int_primitive", "_to_int_primitive", "_pseudo_rem",
                "_heu_gcd", "gcd_is_constant", "squarefree_decomposition",
-               "BinaryForm"}
+               "BinaryForm", "transvectant_first"}
 
 
 def _violations(path):

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from torelli_lab import binforms, surfaces
+from conftest import form_is_squarefree
+from torelli_lab import binforms, cli, surfaces
 from torelli_lab.binforms import (
     BinaryForm,
     ProjectivePointP1,
+    forms_coprime,
     poly_derivative,
     poly_eval,
     poly_strip,
@@ -137,8 +139,9 @@ def test_isotrivial_discriminant_rejected():
 def test_fiber_valuation_mismatch_is_a_typed_error(monkeypatch):
     s = make_random_general(3, seed=0)
     monkeypatch.setattr(surfaces, "squarefree_decomposition", lambda aff: [])
+    # a fresh copy: the sampler already stored the true factors of Delta on s
     with pytest.raises(ConsistencyError):
-        classify_fibers(s)
+        classify_fibers(WeierstrassSurface(s.dL, s.g4, s.g6))
 
 
 def test_fiber_valuations_sum_to_12dL():
@@ -167,8 +170,6 @@ def test_make_random_general_deterministic():
 
 
 def test_make_random_general_exact_genericity():
-    from torelli_lab.binforms import form_is_squarefree, forms_coprime
-
     s = make_random_general(3, seed=13)
     delta = discriminant(s)
     assert form_is_squarefree(delta) and forms_coprime(delta, s.g4)
@@ -177,8 +178,6 @@ def test_make_random_general_exact_genericity():
 def _genericity_running_every_test(s):
     """The three clauses each decided by its own exact test, (c) included
     when (a) holds: the reference for the shortcut that (a) implies (c)."""
-    from torelli_lab.binforms import form_is_squarefree, forms_coprime
-
     delta = discriminant(s)
     all_i1 = form_is_squarefree(delta)
     failed = [] if all_i1 else ["a"]
@@ -231,6 +230,64 @@ def test_clause_c_follows_from_clause_a(monkeypatch):
         if report.all_fibers_i1:
             assert report.ram_avoids_discriminant
     assert failed == {"a", "b", "c"}
+
+
+def test_one_reducedness_rule_agrees_with_the_gcd_test():
+    # products with repeated factors and with roots at infinity, where the
+    # rule reads the multiplicity off the degree drop
+    rng = random.Random(3)
+    verdicts = set()
+    for _ in range(300):
+        aff = [rng.randint(-3, 3) or 1]
+        for _ in range(rng.randint(0, 4)):
+            factor = [rng.randint(-3, 3), rng.choice((-1, 1))]
+            aff = binforms.poly_mul(aff, factor if rng.random() < 0.6
+                                    else binforms.poly_mul(factor, factor))
+        f = BinaryForm.from_affine(aff, len(aff) - 1 + rng.randint(0, 2))
+        factors = binforms.squarefree_decomposition(f.coeffs)
+        verdict = surfaces._reduced(f, factors)
+        assert verdict == form_is_squarefree(f)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_one_decomposition_per_form_per_surface(monkeypatch):
+    """What ``analyze`` asks of a surface decomposes Delta once and W once,
+    and so takes the gcd of (Delta, Delta') once.  The fibre table and the
+    genericity decision each ask ``discriminant`` once: the benchmark counts
+    the sampler's draws as its calls."""
+    primitive = binforms._to_int_primitive
+    for s in (make_random_general(4, seed=3), make_with_I2(3, [0, 1], seed=1)):
+        s = WeierstrassSurface(s.dL, s.g4, s.g6)
+        delta = primitive(discriminant(s).coeffs)
+        w = primitive(surfaces.ramification_form(s).coeffs)
+        delta_pair = (delta, primitive(poly_derivative(delta)))
+        decomposed, delta_gcds, delta_asks = [], [], []
+        decompose, gcd = binforms.squarefree_decomposition, binforms.poly_gcd
+        ask = surfaces.discriminant
+
+        def counted_decompose(a):
+            decomposed.append(primitive(a))
+            return decompose(a)
+
+        def counted_gcd(a, b):
+            if (primitive(a), primitive(b)) == delta_pair:
+                delta_gcds.append(1)
+            return gcd(a, b)
+
+        with monkeypatch.context() as patch:
+            for module in (binforms, surfaces):
+                patch.setattr(module, "squarefree_decomposition",
+                              counted_decompose)
+            patch.setattr(binforms, "poly_gcd", counted_gcd)
+            patch.setattr(surfaces, "discriminant",
+                          lambda s: delta_asks.append(1) or ask(s))
+            classify_fibers(s)
+            ramification_divisor(s)
+            surfaces.genericity(s)
+        assert sorted(decomposed) == sorted([delta, w])
+        assert len(delta_gcds) == 1
+        assert len(delta_asks) == 2
 
 
 def test_make_with_i2_local_equations_hold_exactly():
@@ -341,6 +398,27 @@ def test_every_gcd_of_the_pinned_sets_is_certified_without_the_prs(monkeypatch):
     for s in i2:                               # the rest of an analysis
         ramification_divisor(s)
     _exact_facts(sampled + i2)
+
+
+ANALYZE_DIGEST = "23f880b21abc165603154d1376e9a736f81895e277d0beeafcf4697108b6bb67"
+
+
+def _analyze_digest(surfs, tmp_path):
+    """sha256 of the ``analyze`` reports of ``surfs``, ``timestamp``
+    dropped: fibres, divisor, genericity and invariants, byte for byte."""
+    digest = hashlib.sha256()
+    path, out = tmp_path / "surface.json", tmp_path / "report.json"
+    for s in surfs:
+        save_surface(s, path)
+        assert cli.main(["analyze", str(path), "-o", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        del report["timestamp"]
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_analyze_golden_digest(tmp_path):
+    assert _analyze_digest(_sampler_set() + _i2_set(), tmp_path) == ANALYZE_DIGEST
 
 
 def test_make_with_i2_rejects_bad_points():
