@@ -5,12 +5,15 @@ rank-1 tensor per ramification point a: the evaluation covector of the
 canonical embedding at a, times a class attached to the fibre over a.  The
 canonical embedding of the genus-0 base is the degree h-1 Veronese, so the
 evaluation covectors are explicit monomial vectors.  The attached classes
-are transcendental; they form an orthogonal frame that the recovery argument
-only uses through its linear independence, so this module models them by a
-unitary frame drawn once per surface (from a digest of the exact surface
-data, overridable), while the per-synthesis seed draws the unknown scalar
-weights and a well-conditioned change of basis that hides the rank-1
-structure.  The spanned subspace of C^(h x N) is then an invariant of the
+are transcendental; they form an orthogonal frame, so this module models
+them by a unitary frame drawn once per surface (from a digest of the exact
+surface data, overridable), while the per-synthesis seed draws the unknown
+scalar weights and a well-conditioned change of basis that hides the rank-1
+structure.  The recovery argument needs only the frame's linear
+independence, and so does the extractor's general-eigensolver path; its
+fast path uses the orthogonality, because a unitary frame makes the pencil
+it diagonalizes normal, and it certifies that normality before relying on
+it.  The spanned subspace of C^(h x N) is then an invariant of the
 surface, not of the synthesis seed.
 """
 

@@ -1,9 +1,12 @@
 """Dense complex linear algebra used by the recovery pipeline.
 
 Thin contract-bearing wrappers over LAPACK via numpy: the guarantees are
-an accuracy bound on the nullspace and, for eigenpairs, the dual frame with
-a completeness check (kappa_F(V) < 1e12), not specific algorithms.  Matrices
-are plain 2-D complex ndarrays; validation rejects non-finite entries.
+an accuracy bound on the nullspace and, for the eigenpairs of a general
+matrix, the dual frame with a completeness check (kappa_F(V) < 1e12), not
+specific algorithms.  The extractor calls ``eig_general`` only for pencils
+that fail its normality certificate; a normal pencil is diagonalized in
+``recovery`` from ``numpy.linalg.eigh``.  Matrices are plain 2-D complex
+ndarrays; validation rejects non-finite entries.
 
 The numeric entry points of ``ivhs`` and ``recovery`` run under
 ``_one_blas_thread``: numpy's bundled OpenBLAS is held to one thread for

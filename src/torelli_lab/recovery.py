@@ -5,11 +5,17 @@ x_k (x) y_k (with no two x's proportional and the y's a basis), the rank-1
 elements of W are exactly the generators, and they are found constructively
 by simultaneous diagonalization: contracting the basis stack along the
 h-dimensional factor with two random covectors gives a pencil P1 = Y D1 C,
-P2 = Y D2 C whose quotient P1 P2^{-1} = Y D1 D2^{-1} Y^{-1} is diagonalized
-by the hidden frame Y; back-substitution against the dual frame isolates
-each x_k as the dominant singular direction of a rank-1 slice.  Eigenvalue
-collisions and ill-conditioned contractions are retried with fresh
-randomness.
+P2 = Y D2 C whose quotient N = P1 P2^{-1} = Y D1 D2^{-1} Y^{-1} is
+diagonalized by the hidden frame Y.  The forward model draws Y unitary, so
+N is normal.  When N's departure from normality is within what the solve's
+rounding explains, the frame comes from ``eigh`` of its Hermitian part and
+one first-order correction by the complex eigenvalue gaps, and each vector
+is certified by its Davis-Kahan gap quotient; any other pencil goes to the
+general eigensolver and is certified by Bauer-Fike with kappa_F(V).
+Back-substitution against the dual frame gives N rank-1 slices, and one
+power step per slice gives x_k with a certified lower bound on its
+1 - sigma_2/sigma_1, the confidence.  Uncertified frames, failed slices
+and ill-conditioned contractions are retried with fresh randomness.
 
 The recovered x's are points of P^(h-1) lying on the degree h-1 canonical
 curve; the curve itself is recovered as the intersection of the quadrics
@@ -17,8 +23,9 @@ through them, computed as the nullspace of the degree-2 Veronese evaluation
 matrix.  A brute-force oracle (multi-start alternating projection onto the
 rank-1 variety) cross-checks the extraction on tiny instances.
 
-The thresholds are module constants, not settings: ``CONFIDENCE_MIN`` for
-the rank-1 confidence of every extracted slice, ``NULLSPACE_REL_TOL`` for
+The thresholds are module constants, not settings: ``FRAME_SIN_MAX`` for
+the gap certificates, ``CONFIDENCE_MIN`` for the rank-1 confidence of every
+extracted slice, ``NULLSPACE_REL_TOL`` for
 the quadric nullspace cut and ``MATCH_TOL`` for the round trip's chordal
 match against the ground truth.
 """
@@ -42,7 +49,12 @@ from .linalg import EigenConvergenceError, _one_blas_thread
 from .surfaces import WeierstrassSurface, degree_gate_ok, invariants
 
 EXTRACTION_RETRIES = 10
-EIG_GAP_MIN = 1e-6
+# Both gap certificates bound the angle of each computed eigenvector of the
+# pencil by FRAME_SIN_MAX: Davis-Kahan ||N v - d v|| / gap on a normal
+# pencil, Bauer-Fike kappa_F(V) ||N v - d v|| / gap on any other.  A slice
+# takes in such an angle amplified by about the spread of the weights
+# (LAMBDA_MAX / LAMBDA_MIN = 100), which 1e-8 keeps below MATCH_TOL.
+FRAME_SIN_MAX = 1e-8
 # The recovery thresholds, validated for h <= 8, N <= 88: the tests extract
 # and interpolate up to h = 8, the size of the benchmark's recovery workload.
 CONFIDENCE_MIN = 0.999
@@ -74,7 +86,8 @@ class StageError(TorelliLabError):
 @dataclass(frozen=True)
 class RankOneFactor:
     """A recovered tensor direction: x in P^(h-1), y in P^(N-1), and the
-    rank-1 confidence 1 - sigma_2/sigma_1 of its extracted slice."""
+    rank-1 confidence of its extracted slice, a lower bound on
+    1 - sigma_2/sigma_1."""
 
     x: np.ndarray
     y: np.ndarray
@@ -99,6 +112,24 @@ def chordal_distance(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(y - np.vdot(x, y) * x))
 
 
+def _certified_normal(pencil: np.ndarray, cond: float) -> bool:
+    """Whether ||N N^H - N^H N||_F / ||N||_F^2 is within what the computed
+    pencil of a normal N can read, to first order in the unit roundoff u,
+    for a contraction P2 of 2-norm condition ``cond``.
+
+    LU with partial pivoting solves P2^T X = P1^T with a backward error of
+    gamma_3n ||P2^T|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Theorem 9.4, with unit growth), so the computed pencil
+    is N + E with ||E||_F <= 3 n u cond ||N||_F.  For a normal N the
+    commutator of N + E is at most 4 ||N||_F ||E||_F, and the two products
+    that form it add 2 n u ||N||_F^2 of rounding."""
+    n, u = len(pencil), np.finfo(float).eps / 2
+    adj = pencil.conj().T
+    departure = np.linalg.norm(pencil @ adj - adj @ pencil) \
+        / np.linalg.norm(pencil) ** 2
+    return bool(departure <= (12.0 * cond + 2.0) * n * u)
+
+
 def _factor_order(x: np.ndarray) -> np.ndarray:
     """Indices that sort the rows of ``x`` lexicographically by their real
     parts then their imaginary parts, each rounded to 9 decimals."""
@@ -106,16 +137,75 @@ def _factor_order(x: np.ndarray) -> np.ndarray:
     return np.lexsort(keys.T[::-1])
 
 
+def _rank_one_bounds(tall: np.ndarray):
+    """(x, confidence) of every N x h matrix S = tall[k]: x is the dominant
+    direction of the h x N slice S^T, and confidence is a certified lower
+    bound on its 1 - sigma_2/sigma_1.
+
+    From the row of S of largest norm, one power step with S^H S gives a
+    unit v.  S (I - v v^H) is S on the complement of v, so its norm is at
+    least sigma_2 (Courant-Fischer), and ||S v|| <= sigma_1; hence
+    1 - ||S - S v v^H||_F / ||S v|| <= 1 - sigma_2/sigma_1.  x is conj(v).
+    ``tall`` is overwritten by the residuals S - S v v^H."""
+    n = len(tall)
+    parts = tall.view(float)          # real and imaginary parts side by side
+    rows = tall[np.arange(n),
+                np.argmax(np.einsum("kji,kji->kj", parts, parts), axis=1)]
+    v = rows.conj() / np.linalg.norm(rows, axis=1, keepdims=True)
+    sv = (tall @ v[:, :, None])[:, :, 0]
+    v = (sv.conj()[:, None, :] @ tall)[:, 0, :].conj()     # S^H S v
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    sv = (tall @ v[:, :, None])[:, :, 0]
+    tall -= sv[:, :, None] * v.conj()[:, None, :]
+    top = np.linalg.norm(sv, axis=1)
+    ratio = np.divide(np.sqrt(np.einsum("kji,kji->k", parts, parts)), top,
+                      out=np.ones(n), where=top > 0)
+    return v.conj(), 1.0 - ratio
+
+
+def _normal_frame(pencil: np.ndarray):
+    """(values, unit eigenvectors) of a near-normal pencil: the eigenvectors
+    of its Hermitian part, with one first-order correction from the complex
+    gaps of V^H N V.  The Hermitian part alone separates eigenvalues only by
+    their real parts; E_ij = D_ij / (d_j - d_i) uses the full complex gap."""
+    _, v = np.linalg.eigh((pencil + pencil.conj().T) / 2)
+    d = v.conj().T @ pencil @ v
+    values = np.diag(d).copy()
+    gaps = values[None, :] - values[:, None]
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(gaps, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # an exact collision gives a non-finite frame, which fails the
+        # gap certificate
+        frame = v + v @ (d / gaps)
+        return values, frame / np.linalg.norm(frame, axis=0)
+
+
+def _gap_quotients(pencil, values, frame) -> np.ndarray:
+    """||N v_k - d_k v_k|| / min_(j != k) |d_k - d_j| of every eigenpair."""
+    residual = np.linalg.norm(pencil @ frame - frame * values, axis=0)
+    gaps = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return residual / gaps.min(axis=1)
+
+
 @_one_blas_thread
 def extract_rank_ones(presentation: IVHSPresentation, seed: int):
     """All N rank-1 factors of the presentation, each with confidence above
-    ``CONFIDENCE_MIN``, or ``DegeneratePresentationError``."""
+    ``CONFIDENCE_MIN``, or ``DegeneratePresentationError``.
+
+    A pencil that passes the normality certificate is diagonalized from
+    ``eigh`` and certified per eigenvector by Davis-Kahan; any other pencil
+    goes to ``linalg.eig_general`` and is certified by Bauer-Fike with
+    kappa_F(V).  Either certificate bounds gap quotients by
+    ``FRAME_SIN_MAX``."""
     basis = presentation.basis
     n, h = presentation.N, presentation.h
     if n < 2:
         raise UsageError("extraction needs N >= 2")
     rng = np.random.default_rng(seed)
-    stacked = basis.reshape(n * h, n)
+    stacked_t = basis.reshape(n * h, n).T
     reasons = []
     for _ in range(EXTRACTION_RETRIES):
         u1 = rng.standard_normal(h) + 1j * rng.standard_normal(h)
@@ -128,32 +218,36 @@ def extract_rank_ones(presentation: IVHSPresentation, seed: int):
             reasons.append("ill-conditioned contraction")
             continue
         pencil = np.linalg.solve(p2.T, p1.T).T
-        try:
-            eig = linalg.eig_general(pencil)
-        except EigenConvergenceError:
-            reasons.append("eigeniteration failed")
-            continue
-        if eig.defective:
-            reasons.append("defective eigenframe")
-            continue
-        scale = max(1.0, float(np.max(np.abs(eig.values))))
-        gaps = np.abs(eig.values[:, None] - eig.values[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if float(np.min(gaps)) < EIG_GAP_MIN * scale:
-            reasons.append("eigenvalue collision")
-            continue
-        y_frame, dual = eig.vectors, eig.dual
-        # slice k is the h x N matrix sum_a basis[:, :, a] dual[a, k], taken
-        # here as its N x h transpose, which LAPACK factors faster; the top
-        # left singular vector of slice k is then the conjugate of the first
-        # row of vh[k]
-        tall = (stacked @ dual).reshape(n, h, n).transpose(2, 0, 1)
-        _, s, vh = np.linalg.svd(tall, full_matrices=False)
-        ratio = np.divide(s[:, 1], s[:, 0], out=np.ones(n), where=s[:, 0] > 0)
-        confidences = 1.0 - ratio
+        if _certified_normal(pencil, sv[0] / sv[-1]):
+            values, frame = _normal_frame(pencil)
+            if not np.max(_gap_quotients(pencil, values, frame)) \
+                    <= FRAME_SIN_MAX:
+                reasons.append("eigenframe fails the Davis-Kahan certificate")
+                continue
+            dual = np.linalg.solve(frame.T, np.eye(n, dtype=complex))
+        else:
+            try:
+                eig = linalg.eig_general(pencil)
+            except EigenConvergenceError:
+                reasons.append("eigeniteration failed")
+                continue
+            if eig.defective:
+                reasons.append("defective eigenframe")
+                continue
+            values, frame, dual = eig.values, eig.vectors, eig.dual
+            kappa = np.linalg.norm(frame) * np.linalg.norm(dual)
+            if not kappa * np.max(_gap_quotients(pencil, values, frame)) \
+                    <= FRAME_SIN_MAX:
+                reasons.append(
+                    "eigenvalues fail the Bauer-Fike gap certificate")
+                continue
+        # slice k is the h x N matrix sum_a basis[:, :, a] dual[a, k], held
+        # as its N x h transpose tall[k]
+        tall = (dual.T @ stacked_t).reshape(n, n, h)
+        xs, confidences = _rank_one_bounds(tall)
         if np.all(confidences > CONFIDENCE_MIN):
-            xs = normalize_phase_rows(vh[:, 0, :])
-            ys = normalize_phase_rows(y_frame.T)
+            xs = normalize_phase_rows(xs)
+            ys = normalize_phase_rows(frame.T)
             return [RankOneFactor(x=xs[k], y=ys[k],
                                   confidence=float(confidences[k]))
                     for k in _factor_order(xs)]
@@ -240,13 +334,15 @@ def _veronese2(x: np.ndarray) -> np.ndarray:
     return x[..., i] * x[..., j]
 
 
-def _max_quadric_value(points: np.ndarray, quadrics) -> float:
-    """max |v^T q v| over the rows v of ``points`` and the quadrics q."""
+def _max_quadric_value(rows: np.ndarray, quadrics) -> float:
+    """max |v^T q v| over the points v with Veronese rows ``rows`` and the
+    symmetric quadrics q: v^T q v is the row times q's coefficients of
+    x_i x_j, which are q_ii and q_ij + q_ji = 2 q_ij."""
     if len(quadrics) == 0:
         return 0.0
-    # values[m, k] = v_k^T q_m v_k, without conjugation
-    values = np.sum((points @ np.asarray(quadrics)) * points, axis=-1)
-    return float(np.max(np.abs(values)))
+    i, j = np.triu_indices(np.shape(quadrics)[-1])
+    coeffs = np.asarray(quadrics)[:, i, j] * np.where(i == j, 1.0, 2.0)
+    return float(np.max(np.abs(rows @ coeffs.T)))
 
 
 def expected_quadric_dimension(h: int) -> int:
@@ -265,7 +361,8 @@ def recover_geometry(factors, h: int) -> RecoveredGeometry:
         raise UsageError(
             f"expected N = 10h+8 = {expected_n} factors for h = {h}, got {n}")
     z = np.vstack([f.x for f in factors])
-    null = linalg.nullspace(_veronese2(z), NULLSPACE_REL_TOL)
+    rows = _veronese2(z)
+    null = linalg.nullspace(rows, NULLSPACE_REL_TOL)
     dim = null.shape[1]
     if dim != expected_quadric_dimension(h):
         raise InterpolationDimensionError(
@@ -283,7 +380,7 @@ def recover_geometry(factors, h: int) -> RecoveredGeometry:
         z_points=z,
         quadric_basis=tuple(quadrics),
         quadric_dim=dim,
-        point_residual_max=_max_quadric_value(z, quadrics),
+        point_residual_max=_max_quadric_value(rows, quadrics),
     )
 
 
@@ -423,7 +520,8 @@ def roundtrip(s: WeierstrassSurface, seed: int,
 
     rng = np.random.default_rng(seed + 2 * 10**6)
     samples = _curve_samples(inv.h, CURVE_SAMPLES, rng)
-    residual = _max_quadric_value(samples, geometry.quadric_basis)
+    residual = _max_quadric_value(_veronese2(samples),
+                                  geometry.quadric_basis)
 
     return RoundTripReport(
         h=inv.h,

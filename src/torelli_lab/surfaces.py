@@ -42,6 +42,15 @@ from .errors import ConsistencyError, TorelliLabError, UsageError
 
 COEFF_BOUND = 20
 REJECTION_BUDGET = 1000
+# The height bound of a surface-file coefficient: its numerator and its
+# denominator have at most COEFF_DIGITS_MAX decimal digits.  That is
+# CPython's default limit on int <-> str conversion, so every coefficient
+# within it can be written back to a surface file.  Delta of a dL = 4
+# surface with one coefficient at the bound costs about 3 ms on a 2-core
+# x86-64 machine; at 10^5 digits it costs 0.33 s and at 10^6 digits 11.5 s,
+# which a 9-character decimal string such as "1e1000000" would otherwise buy.
+COEFF_DIGITS_MAX = 4300
+_HEIGHT_MAX = 10 ** COEFF_DIGITS_MAX
 
 
 class UnsupportedGenusError(UsageError):
@@ -558,10 +567,29 @@ def surface_to_json_dict(s: WeierstrassSurface) -> dict:
     }
 
 
+def _coefficient(c) -> Fraction:
+    """The exact value of a JSON integer or rational string, or
+    ``ValueError`` when its height exceeds ``COEFF_DIGITS_MAX`` digits.  A
+    decimal string whose digits plus |exponent| exceed the bound is
+    rejected before ``Fraction`` builds its power of ten."""
+    if type(c) is str:
+        mantissa, e, exponent = c.lower().partition("e")
+        if e and (sum(ch.isdigit() for ch in mantissa) + abs(int(exponent))
+                  > COEFF_DIGITS_MAX):
+            raise ValueError(f"coefficient {c!r} exceeds the height bound of "
+                             f"{COEFF_DIGITS_MAX} digits")
+    value = Fraction(c)
+    if max(abs(value.numerator), value.denominator) >= _HEIGHT_MAX:
+        raise ValueError(f"a coefficient exceeds the height bound of "
+                         f"{COEFF_DIGITS_MAX} digits")
+    return value
+
+
 def surface_from_json_dict(data: dict) -> WeierstrassSurface:
     """The surface of a surface file's JSON object; ``UsageError`` unless q
     and dL are JSON integers and g4 and g6 lists of JSON integers and strings
-    that ``Fraction`` parses.  Nothing is truncated or rounded."""
+    that ``Fraction`` parses, each of height below 10^``COEFF_DIGITS_MAX``.
+    Nothing is truncated or rounded."""
     try:
         q, dL, g4, g6 = data["q"], data["dL"], data["g4"], data["g6"]
         if type(q) is not int or type(dL) is not int:
@@ -573,8 +601,8 @@ def surface_from_json_dict(data: dict) -> WeierstrassSurface:
             if type(c) not in (int, str):
                 raise TypeError(f"coefficient {c!r} is neither a JSON "
                                 "integer nor a rational string")
-        g4 = BinaryForm(4 * dL, [Fraction(c) for c in g4])
-        g6 = BinaryForm(6 * dL, [Fraction(c) for c in g6])
+        g4 = BinaryForm(4 * dL, [_coefficient(c) for c in g4])
+        g6 = BinaryForm(6 * dL, [_coefficient(c) for c in g6])
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed surface data: {exc}") from exc
     return WeierstrassSurface(dL, g4, g6, q)
@@ -588,11 +616,12 @@ def save_surface(s: WeierstrassSurface, path) -> None:
 
 def load_json(path):
     """The JSON value in the file at ``path``; ``UsageError`` naming the path
-    when the file is not UTF-8 JSON."""
+    when the file is not UTF-8 JSON or holds an integer longer than CPython
+    converts (4300 digits by default)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError) as exc:
             raise UsageError(f"{path} is not a JSON file: {exc}") from exc
 
 

@@ -359,6 +359,7 @@ def test_bad_input_is_a_usage_error_without_a_traceback(input_files, argv):
 
 # surface files whose q or dL is not a JSON integer, whose g4 is not a list,
 # or with a coefficient that is neither a JSON integer nor a rational string
+# or that exceeds the height bound
 SURFACE_DEFECTS = {
     "float dL": ("dL", 4.9),
     "float q": ("q", 0.5),
@@ -371,6 +372,7 @@ SURFACE_DEFECTS = {
     "float coefficient": ("g4", [0.1] + [1] * 16),
     "bool coefficient": ("g4", [True] + [1] * 16),
     "zero denominator": ("g4", ["1/0"] + [1] * 16),
+    "exponent past the height bound": ("g4", ["1e1000000"] + [1] * 16),
 }
 
 

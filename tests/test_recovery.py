@@ -20,7 +20,6 @@ from torelli_lab.linalg import nullspace
 from torelli_lab.recovery import (
     CONFIDENCE_MIN,
     CONTRACTION_COND_MAX,
-    EIG_GAP_MIN,
     NULLSPACE_REL_TOL,
     DegeneratePresentationError,
     InterpolationDimensionError,
@@ -340,8 +339,8 @@ def test_roundtrip_h6():
     assert report.quadric_dim == expected_quadric_dimension(6) == 10
 
 
-ROUNDTRIP_DIGEST = "2918e48c70d5ab286c9275bf2e4124b39b86f210a41081323828f9a4d595f058"
-RECOVER_Z_DIGEST = "4b3dbadfa04968c6c53f0ff476c9a008583e080340ad6bfd26ddcaeb5ad74490"
+ROUNDTRIP_DIGEST = "2ce5323703fbd36c6623b3ced4ff8254b26889726258dadddf8142d468232296"
+RECOVER_Z_DIGEST = "4753b9cee752b09aacc18a64e7009b87387b9ce6756c270ab30922fc60a45a13"
 
 
 def _roundtrip_digest():
@@ -419,9 +418,15 @@ def test_roundtrip_dropped_factor_fits_no_admissible_genus(monkeypatch):
 # the vectorized extraction and interpolation against their loop forms
 # ---------------------------------------------------------------------------
 
+# the fixed relative eigenvalue gap that the extractor cut at before its
+# gap certificates; the loop-form reference keeps it
+EIG_GAP_MIN = 1e-6
+
+
 def _loop_extract_rank_ones(presentation, seed):
-    """The extractor written with one einsum and one full SVD per slice:
-    the loop-form reference the batched extractor must reproduce."""
+    """The extractor written with one einsum, the general eigensolver and
+    one full SVD per slice: the loop-form reference the extractor must
+    reproduce."""
     basis = presentation.basis
     n, h = presentation.N, presentation.h
     rng = np.random.default_rng(seed)
@@ -550,8 +555,148 @@ def test_extraction_svd_count_does_not_grow_with_n(monkeypatch):
         eig_calls.clear()
         extract_rank_ones(pres, seed=h)
         monkeypatch.undo()
-        assert len(eig_calls) == 1           # one successful attempt
+        assert len(eig_calls) == 0           # the normal pencil's path
         counts[pres.N] = len(svd_calls)
-    # the contraction's condition and one batched SVD of all N slices; the
-    # eigenframe's independence is read off the dual frame, with no SVD
-    assert counts == {38: 2, 48: 2}
+    # the contraction's condition only: the slices' rank-1 bounds take a
+    # power step each, with no SVD
+    assert counts == {38: 1, 48: 1}
+
+
+# ---------------------------------------------------------------------------
+# the normal-pencil path and its certificates
+# ---------------------------------------------------------------------------
+
+def _solver_calls(monkeypatch, presentation, seed):
+    """(eigh calls, eig_general calls, factors or the error) of one
+    extraction."""
+    calls = {"eigh": 0, "eig_general": 0}
+    eigh, eig_general = np.linalg.eigh, linalg.eig_general
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counted_eig(*args, **kwargs):
+        calls["eig_general"] += 1
+        return eig_general(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", counted_eigh)
+        m.setattr(linalg, "eig_general", counted_eig)
+        try:
+            out = extract_rank_ones(presentation, seed)
+        except DegeneratePresentationError as exc:
+            out = exc
+    return calls["eigh"], calls["eig_general"], out
+
+
+def mixed_frame(presentation, eps, seed):
+    """The presentation with its hidden frame Y replaced by (I + eps A) Y,
+    for a random A of unit 2-norm: a non-unitary frame, so a pencil that
+    is not normal, with the same x's."""
+    rng = np.random.default_rng(seed)
+    n = presentation.N
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mix = np.eye(n) + eps * a / np.linalg.norm(a, 2)
+    return IVHSPresentation(presentation.h, n, presentation.basis @ mix.T)
+
+
+@pytest.mark.parametrize("h", [3, 5, 8])
+def test_a_synthesized_presentation_takes_the_normal_path(h, monkeypatch):
+    eighs, eigs, factors = _solver_calls(monkeypatch, synthesized(h), h)
+    assert (eighs, eigs) == (1, 0)
+    assert len(factors) == 10 * h + 8
+
+
+@pytest.mark.parametrize("h", [3, 5, 8])
+def test_a_non_unitary_frame_takes_the_general_path_and_recovers(
+        h, monkeypatch):
+    s = make_random_general(h, seed=h)
+    pres, truth = synthesize(s, seed=h)
+    eighs, eigs, factors = _solver_calls(monkeypatch,
+                                         mixed_frame(pres, 0.3, h), h)
+    assert (eighs, eigs) == (0, 1)
+    truth_x = np.vstack([ep.x for ep in truth.points])
+    rec_x = np.vstack([f.x for f in factors])
+    assert match_points(rec_x, truth_x).max_chordal < 1e-10
+
+
+def test_an_uncertified_general_frame_names_its_certificate(monkeypatch):
+    # at FRAME_SIN_MAX = 1e-16 no computed frame is certified, so every
+    # attempt fails the certificate of its path and says which
+    monkeypatch.setattr(recovery, "FRAME_SIN_MAX", 1e-16)
+    eighs, eigs, err = _solver_calls(monkeypatch,
+                                     mixed_frame(synthesized(3), 0.3, 3), 3)
+    assert (eighs, eigs) == (0, recovery.EXTRACTION_RETRIES)
+    assert isinstance(err, DegeneratePresentationError)
+    assert "Bauer-Fike" in str(err)
+
+
+def test_an_uncertified_normal_frame_names_its_certificate(monkeypatch):
+    monkeypatch.setattr(recovery, "FRAME_SIN_MAX", 1e-16)
+    eighs, eigs, err = _solver_calls(monkeypatch, synthesized(3), 3)
+    assert (eighs, eigs) == (recovery.EXTRACTION_RETRIES, 0)
+    assert isinstance(err, DegeneratePresentationError)
+    assert "Davis-Kahan" in str(err)
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-5, 1e-3, 1e-1, 1.0])
+@pytest.mark.parametrize("h", [3, 5, 8])
+def test_a_pencil_off_normality_never_takes_the_fast_path(h, eps,
+                                                          monkeypatch):
+    eighs, eigs, _ = _solver_calls(monkeypatch,
+                                   mixed_frame(synthesized(h), eps, 17), h)
+    assert eighs == 0 and eigs >= 1
+
+
+def test_the_normality_certificate_separates_normal_from_perturbed():
+    rng = np.random.default_rng(8)
+    n = 40
+    q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    normal = (q * d) @ q.conj().T
+    assert recovery._certified_normal(normal, 1.0)
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    e *= 1e-8 * np.linalg.norm(normal) / np.linalg.norm(e)
+    assert not recovery._certified_normal(normal + e, 100.0)
+
+
+@pytest.mark.parametrize("h", [3, 4, 5, 6, 7, 8])
+def test_confidence_is_a_lower_bound_on_the_singular_value_gap(
+        h, monkeypatch):
+    """Every confidence the extractor returns is at most 1 - sigma_2/sigma_1
+    of a reference SVD of the very slice it bounded, up to the reference's
+    own rounding (LAPACK's sigma_2 is good to a few eps times sigma_1)."""
+    bounds, seen = recovery._rank_one_bounds, []
+
+    def spy(tall):
+        sv = np.linalg.svd(tall, compute_uv=False)
+        x, confidence = bounds(tall)
+        seen.append((x, confidence, sv))
+        return x, confidence
+
+    monkeypatch.setattr(recovery, "_rank_one_bounds", spy)
+    factors = extract_rank_ones(synthesized(h), seed=h)
+    x, confidence, sv = seen[-1]
+    assert np.all(confidence
+                  <= 1.0 - sv[:, 1] / sv[:, 0] + 4 * np.finfo(float).eps)
+    assert sorted(f.confidence for f in factors) == sorted(confidence)
+    assert min(confidence) > CONFIDENCE_MIN
+
+
+def test_the_rank_one_bound_holds_off_rank_one():
+    rng = np.random.default_rng(5)
+    n, rows, h = 60, 30, 6
+    tall = rng.standard_normal((n, rows, h)) \
+        + 1j * rng.standard_normal((n, rows, h))
+    # spectra from nearly rank 1 to flat
+    u, _, vh = np.linalg.svd(tall, full_matrices=False)
+    decay = np.logspace(-12, 0, n)[:, None] ** np.arange(h)
+    tall = (u * decay[:, None, :]) @ vh
+    s = np.linalg.svd(tall, compute_uv=False)
+    x, confidence = recovery._rank_one_bounds(tall.copy())
+    assert np.all(confidence <= 1.0 - s[:, 1] / s[:, 0])
+    # x is the top right singular direction of the N x h slice (that is,
+    # the top left one of its h x N transpose) where the slice is near rank 1
+    assert max(chordal_distance(x[k], vh[k, 0]) for k in range(10)) < 1e-9

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -451,3 +452,54 @@ def test_surface_json_rationals_roundtrip(tmp_path):
     path = tmp_path / "surface.json"
     save_surface(s, path)
     assert load_surface(path) == s
+
+
+def _with_first_g4(value):
+    data = surface_to_json_dict(make_random_general(3, seed=0))
+    data["g4"][0] = value
+    return data
+
+
+OVER_HEIGHT = {
+    "1e1000000": "1e1000000",
+    "0e1000000": "0e1000000",
+    "1e-1000000": "1e-1000000",
+    "1E4300": "1E4300",
+    "-2.5e4299": "-2.5e4299",
+    "20-digit exponent": "1" * 10 + "e" + "9" * 20,
+    "integer 10^4300": 10 ** surfaces.COEFF_DIGITS_MAX,
+    "denominator of 4301 digits": "1/1" + "0" * surfaces.COEFF_DIGITS_MAX,
+}
+
+
+@pytest.mark.parametrize("value", OVER_HEIGHT.values(), ids=OVER_HEIGHT)
+def test_a_coefficient_above_the_height_bound_is_a_usage_error(value):
+    t0 = time.perf_counter()
+    with pytest.raises(UsageError, match="malformed surface data"):
+        surface_from_json_dict(_with_first_g4(value))
+    # rejected before any power of ten is built
+    assert time.perf_counter() - t0 < 0.5
+
+
+AT_HEIGHT = {
+    "1e4299": "1e4299",
+    "-0.5e4298": "-0.5e4298",
+    "4300 nines": "9" * surfaces.COEFF_DIGITS_MAX,
+    "denominator of 4300 nines": "1/" + "9" * surfaces.COEFF_DIGITS_MAX,
+}
+
+
+@pytest.mark.parametrize("value", AT_HEIGHT.values(), ids=AT_HEIGHT)
+def test_a_coefficient_at_the_height_bound_loads(value):
+    s = surface_from_json_dict(_with_first_g4(value))
+    assert s.g4.coeffs[0] == Fraction(value)
+
+
+def test_an_over_long_json_integer_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    text = json.dumps(_with_first_g4(0)).replace(
+        '"g4": [0', '"g4": [' + "7" * (surfaces.COEFF_DIGITS_MAX + 1), 1)
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["analyze", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:usage: ") and out == ""
