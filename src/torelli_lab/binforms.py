@@ -256,25 +256,31 @@ def _polyval_vec(coeffs, z):
     return acc
 
 
-def _roots_dense(coeffs):
-    """All n affine roots of a dense polynomial with a nonzero leading entry.
+def _roots_dense(factor):
+    """All n affine roots of an integer polynomial, given by its ascending
+    coefficients, with a nonzero leading entry.
 
-    Companion-matrix eigenvalues (numpy.roots) are backward stable for the
-    coefficient vector (Edelman & Murakami, Math. Comp. 64, 1995).  One
-    Newton step polishes them, kept only where it lowers |p|.  Every root
-    must meet the backward-error bound |p(z)| <= BACKWARD_ERROR_TOL *
-    max(1, |z|)^n for the coefficients scaled to unit max-norm; otherwise
-    TorelliLabError is raised.
+    The coefficients are divided by 2^k, k > 0 only above 2^1000, then
+    scaled to unit max-norm.  Companion-matrix eigenvalues (numpy.roots)
+    are backward stable for them (Edelman & Murakami, Math. Comp. 64,
+    1995).  One Newton step polishes them, kept only where it lowers |p|.
+    A failed companion solve, a missing root, or a root off the bound
+    |p(z)| <= BACKWARD_ERROR_TOL * max(1, |z|)^n raises TorelliLabError.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    n = len(c) - 1
+    n = len(factor) - 1
     if n <= 0:
         return np.empty(0, dtype=complex)
+    scale = 1 << max(0, max(abs(c) for c in factor).bit_length() - 1000)
+    c = np.array([x / scale for x in factor], dtype=complex)
     c = c / np.max(np.abs(c))
-    z = np.asarray(np.roots(c[::-1]), dtype=complex)
-    if len(z) != n:
-        raise TorelliLabError(f"root finding returned {len(z)} of {n} roots")
     with np.errstate(all="ignore"):
+        try:
+            z = np.asarray(np.roots(c[::-1]), dtype=complex)
+        except np.linalg.LinAlgError as exc:
+            raise TorelliLabError(f"root finding failed: {exc}") from exc
+        if len(z) != n:
+            raise TorelliLabError(
+                f"root finding returned {len(z)} of {n} roots")
         p = _polyval_vec(c, z)
         newton = z - p / _polyval_vec(c[1:] * np.arange(1, n + 1), z)
         p_newton = _polyval_vec(c, newton)
@@ -340,6 +346,13 @@ class ProjectivePointP1:
         if self.is_infinity:
             return None
         return self.z1 / self.z0
+
+    def to_json(self):
+        """JSON form: "inf", or [re, im] of the affine coordinate."""
+        if self.is_infinity:
+            return "inf"
+        a = self.affine()
+        return [a.real, a.imag]
 
     def chordal(self, other: "ProjectivePointP1") -> float:
         """|z0 w1 - z1 w0| for unit representatives: the sine of the angle."""
@@ -554,7 +567,7 @@ def divisor_from_factors(f: BinaryForm, factors) -> DivisorP1:
     """
     entries = [(ProjectivePointP1.from_affine(r), mult)
                for factor, mult in factors
-               for r in _roots_dense([complex(c) for c in factor])]
+               for r in _roots_dense(factor)]
     inf_mult = f.mult_at_infinity()
     if inf_mult > 0:
         entries.append((ProjectivePointP1.infinity(), inf_mult))

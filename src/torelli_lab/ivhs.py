@@ -188,18 +188,12 @@ def synthesize(s: WeierstrassSurface, seed: int, frame_seed=None):
         raise NonGenericSurfaceError(
             "surface is not general: failing clauses "
             f"{list(report.failed_clauses)}")
-    ram = ramification_divisor(s)
-    if not ram.divisor.is_reduced():
-        raise NonGenericSurfaceError("ramification divisor is not reduced")
+    # clause (b) makes W's divisor reduced, and the degree law that
+    # ramification_divisor checks then gives it N points
     inv = invariants(s)
     h, N = inv.h, inv.N
-    base_points = [p for p, _ in ram.divisor]
-    if len(base_points) != N:
-        raise NonGenericSurfaceError(
-            f"expected {N} distinct ramification points, found "
-            f"{len(base_points)}")
-
-    points = canonical_points(base_points, h)
+    ram = ramification_divisor(s)
+    points = canonical_points([p for p, _ in ram.divisor], h)
     X = np.column_stack([ep.x for ep in points])
 
     fs = _surface_frame_seed(s) if frame_seed is None else int(frame_seed)
@@ -264,12 +258,9 @@ def presentation_from_json_dict(data: dict) -> IVHSPresentation:
 
 
 def truth_to_json_dict(t: GroundTruth) -> dict:
-    pts = []
-    for ep in t.points:
-        base = "inf" if ep.base_point.is_infinity else _cplx(ep.base_point.affine())
-        pts.append({"base": base, "x": [_cplx(z) for z in ep.x]})
     return {
-        "points": pts,
+        "points": [{"base": ep.base_point.to_json(),
+                    "x": [_cplx(z) for z in ep.x]} for ep in t.points],
         "lambdas": [_cplx(z) for z in t.lambdas],
         "y_frame": _matrix_json(t.y_frame),
         "mixer": _matrix_json(t.mixer),

@@ -1,12 +1,13 @@
 """Dense complex linear algebra used by the recovery pipeline.
 
 Thin contract-bearing wrappers over LAPACK via numpy: the guarantees are
-an accuracy bound on the nullspace and, for the eigenpairs of a general
-matrix, the dual frame with a completeness check (kappa_F(V) < 1e12), not
-specific algorithms.  The extractor calls ``eig_general`` only for pencils
-that fail its normality certificate; a normal pencil is diagonalized in
-``recovery`` from ``numpy.linalg.eigh``.  Matrices are plain 2-D complex
-ndarrays; validation rejects non-finite entries.
+an accuracy bound on the nullspace and unit eigenvectors for the
+eigenpairs of a general matrix, not specific algorithms.  The extractor
+calls ``eig_general`` only for pencils that fail its normality
+certificate; a normal pencil is diagonalized in ``recovery`` from
+``numpy.linalg.eigh``, and ``recovery`` alone decides whether either
+frame is good enough.  Matrices are plain 2-D complex ndarrays;
+validation rejects non-finite entries.
 
 The numeric entry points of ``ivhs`` and ``recovery`` run under
 ``_one_blas_thread``: numpy's bundled OpenBLAS is held to one thread for
@@ -21,7 +22,6 @@ those of the default thread count.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,19 +103,10 @@ def nullspace(a, rel_tol: float) -> np.ndarray:
     return np.column_stack(ns)
 
 
-@dataclass(frozen=True)
-class EigResult:
-    values: np.ndarray
-    vectors: np.ndarray          # unit columns, vectors[:, k] pairs values[k]
-    dual: np.ndarray             # vectors.T @ dual = I; None when singular
-    defective: bool
-
-
-def eig_general(a) -> EigResult:
-    """Eigenpairs of a general square complex matrix, with unit eigenvectors
-    and the dual frame ``solve(vectors.T, I)``.  ``defective`` flags a
-    singular frame V or one with ||V||_F ||V^-1||_F >= 1e12 (an upper bound
-    on kappa_2(V)), so callers retry with fresh randomness, not a bad frame."""
+def eig_general(a):
+    """(values, vectors) of a general square complex matrix: the eigenvalues
+    and unit eigenvectors, vectors[:, k] pairing values[k].  Whether the
+    frame is well conditioned is for the caller to decide."""
     m = as_cmatrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("eig_general needs a square matrix")
@@ -125,11 +116,4 @@ def eig_general(a) -> EigResult:
         raise EigenConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
     norms = np.linalg.norm(vectors, axis=0)
     norms[norms == 0.0] = 1.0
-    vectors = vectors / norms
-    try:
-        dual = np.linalg.solve(vectors.T, np.eye(len(m), dtype=complex))
-    except np.linalg.LinAlgError:
-        return EigResult(values, vectors, None, True)
-    with np.errstate(over="ignore"):          # an overflow is an inf kappa
-        kappa_f = np.linalg.norm(vectors) * np.linalg.norm(dual)
-    return EigResult(values, vectors, dual, not kappa_f < 1e12)
+    return values, vectors / norms

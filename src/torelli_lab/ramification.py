@@ -76,13 +76,6 @@ def schottky_degree_check(s: WeierstrassSurface) -> bool:
 # ---------------------------------------------------------------------------
 
 def divisor_to_json_dict(d: DivisorP1) -> dict:
-    points = []
-    for p, mult in d:
-        if p.is_infinity:
-            z = "inf"
-        else:
-            a = p.affine()
-            z = [a.real, a.imag]
-        points.append({"z": z, "mult": mult})
-    return {"points": points, "degree": d.degree}
+    return {"points": [{"z": p.to_json(), "mult": mult} for p, mult in d],
+            "degree": d.degree}
 

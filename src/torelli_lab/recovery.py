@@ -9,13 +9,16 @@ P2 = Y D2 C whose quotient N = P1 P2^{-1} = Y D1 D2^{-1} Y^{-1} is
 diagonalized by the hidden frame Y.  The forward model draws Y unitary, so
 N is normal.  When N's departure from normality is within what the solve's
 rounding explains, the frame comes from ``eigh`` of its Hermitian part and
-one first-order correction by the complex eigenvalue gaps, and each vector
-is certified by its Davis-Kahan gap quotient; any other pencil goes to the
-general eigensolver and is certified by Bauer-Fike with kappa_F(V).
-Back-substitution against the dual frame gives N rank-1 slices, and one
-power step per slice gives x_k with a certified lower bound on its
-1 - sigma_2/sigma_1, the confidence.  Uncertified frames, failed slices
-and ill-conditioned contractions are retried with fresh randomness.
+one first-order correction by the complex eigenvalue gaps; any other
+pencil goes to the general eigensolver.  Either route yields only the
+eigenvalues and a unit frame V, and one check follows: the dual frame
+solve(V^T, I), then every gap quotient times kappa (1 on a certified normal
+pencil, by Davis-Kahan; kappa_F(V) otherwise, by Bauer-Fike) against
+``FRAME_SIN_MAX``.  Back-substitution against the dual gives N rank-1
+slices, and one power step per slice gives x_k with a certified lower
+bound on its 1 - sigma_2/sigma_1, the confidence.  Uncertified or
+singular frames, failed slices and ill-conditioned contractions are
+retried with fresh randomness.
 
 The recovered x's are points of P^(h-1) lying on the degree h-1 canonical
 curve; the curve itself is recovered as the intersection of the quadrics
@@ -196,10 +199,11 @@ def extract_rank_ones(presentation: IVHSPresentation, seed: int):
     ``CONFIDENCE_MIN``, or ``DegeneratePresentationError``.
 
     A pencil that passes the normality certificate is diagonalized from
-    ``eigh`` and certified per eigenvector by Davis-Kahan; any other pencil
-    goes to ``linalg.eig_general`` and is certified by Bauer-Fike with
-    kappa_F(V).  Either certificate bounds gap quotients by
-    ``FRAME_SIN_MAX``."""
+    ``eigh``; any other pencil goes to ``linalg.eig_general``.  Either frame
+    then gets one dual solve, a singular frame being a retry, and one
+    certificate: kappa times the largest gap quotient at most
+    ``FRAME_SIN_MAX``, with kappa = 1 by Davis-Kahan on a normal pencil and
+    kappa_F(V) by Bauer-Fike otherwise, an overflow reading as inf."""
     basis = presentation.basis
     n, h = presentation.N, presentation.h
     if n < 2:
@@ -218,29 +222,26 @@ def extract_rank_ones(presentation: IVHSPresentation, seed: int):
             reasons.append("ill-conditioned contraction")
             continue
         pencil = np.linalg.solve(p2.T, p1.T).T
-        if _certified_normal(pencil, sv[0] / sv[-1]):
-            values, frame = _normal_frame(pencil)
-            if not np.max(_gap_quotients(pencil, values, frame)) \
-                    <= FRAME_SIN_MAX:
-                reasons.append("eigenframe fails the Davis-Kahan certificate")
-                continue
+        normal = _certified_normal(pencil, sv[0] / sv[-1])
+        try:
+            values, frame = _normal_frame(pencil) if normal \
+                else linalg.eig_general(pencil)
             dual = np.linalg.solve(frame.T, np.eye(n, dtype=complex))
-        else:
-            try:
-                eig = linalg.eig_general(pencil)
-            except EigenConvergenceError:
-                reasons.append("eigeniteration failed")
-                continue
-            if eig.defective:
-                reasons.append("defective eigenframe")
-                continue
-            values, frame, dual = eig.values, eig.vectors, eig.dual
-            kappa = np.linalg.norm(frame) * np.linalg.norm(dual)
-            if not kappa * np.max(_gap_quotients(pencil, values, frame)) \
-                    <= FRAME_SIN_MAX:
-                reasons.append(
-                    "eigenvalues fail the Bauer-Fike gap certificate")
-                continue
+        except EigenConvergenceError:
+            reasons.append("eigeniteration failed")
+            continue
+        except np.linalg.LinAlgError:         # a singular frame
+            reasons.append("defective eigenframe")
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):  # inf kappa
+            kappa = 1.0 if normal else \
+                np.linalg.norm(frame) * np.linalg.norm(dual)
+            sin_max = kappa * np.max(_gap_quotients(pencil, values, frame))
+        if not sin_max <= FRAME_SIN_MAX:
+            reasons.append("eigenframe fails the Davis-Kahan certificate"
+                           if normal else
+                           "eigenvalues fail the Bauer-Fike gap certificate")
+            continue
         # slice k is the h x N matrix sum_a basis[:, :, a] dual[a, k], held
         # as its N x h transpose tall[k]
         tall = (dual.T @ stacked_t).reshape(n, n, h)
@@ -323,7 +324,6 @@ class RecoveredGeometry:
     quadric_basis: tuple            # symmetric h x h matrices, Frobenius-unit
     quadric_dim: int
     point_residual_max: float
-    match: MatchReport = None
 
 
 def _veronese2(x: np.ndarray) -> np.ndarray:

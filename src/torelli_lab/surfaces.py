@@ -196,7 +196,7 @@ class FiberReport:
         return {
             "fibers": [
                 {
-                    "z": _point_json(rec.point),
+                    "z": rec.point.to_json(),
                     "delta_val": rec.delta_val,
                     "g4_vanishes": rec.g4_vanishes,
                     "kodaira": rec.kodaira,
@@ -283,7 +283,7 @@ def classify_fibers(s: WeierstrassSurface) -> FiberReport:
         for piece, vanishes in ((inert_part, False), (additive_part, True)):
             if poly_degree(piece) < 1:
                 continue
-            for root in binforms._roots_dense([complex(c) for c in piece]):
+            for root in binforms._roots_dense(piece):
                 records.append(FiberRecord(
                     point=ProjectivePointP1.from_affine(root),
                     delta_val=mult,
@@ -551,13 +551,6 @@ def make_with_I2(h: int, points, seed: int) -> WeierstrassSurface:
 # JSON surface files
 # ---------------------------------------------------------------------------
 
-def _point_json(p: ProjectivePointP1):
-    if p.is_infinity:
-        return "inf"
-    a = p.affine()
-    return [a.real, a.imag]
-
-
 def surface_to_json_dict(s: WeierstrassSurface) -> dict:
     return {
         "q": s.q,
@@ -606,12 +599,6 @@ def surface_from_json_dict(data: dict) -> WeierstrassSurface:
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed surface data: {exc}") from exc
     return WeierstrassSurface(dL, g4, g6, q)
-
-
-def save_surface(s: WeierstrassSurface, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(surface_to_json_dict(s), fh, indent=2)
-        fh.write("\n")
 
 
 def load_json(path):

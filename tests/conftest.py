@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from torelli_lab.binforms import (
 )
 from torelli_lab.ivhs import IVHSPresentation
 from torelli_lab.plumbing import JetCoefficients, residue_pair
+from torelli_lab.surfaces import surface_to_json_dict
 
 
 def random_exact_form(rng: random.Random, degree: int, bound: int = 9) -> BinaryForm:
@@ -22,6 +24,13 @@ def random_exact_form(rng: random.Random, degree: int, bound: int = 9) -> Binary
     while coeffs[-1] == 0:
         coeffs[-1] = rng.randint(-bound, bound)
     return BinaryForm(degree, coeffs)
+
+
+def save_surface(s, path) -> None:
+    """Write ``s`` as a surface file, byte for byte as ``generate`` does."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(surface_to_json_dict(s), fh, indent=2)
+        fh.write("\n")
 
 
 def poly_is_squarefree(a) -> bool:

@@ -343,19 +343,34 @@ def _newton_refined(factor, roots, dps=50):
 def test_roots_match_a_high_precision_reference(form_of):
     worst = 0.0
     for factor, _ in squarefree_decomposition(poly_strip(form_of().coeffs)):
-        roots = binforms._roots_dense([complex(c) for c in factor])
+        roots = binforms._roots_dense(factor)
         ref = _newton_refined(factor, roots)
         worst = max(worst, float(np.max(np.abs(roots - ref) / np.abs(ref))))
     assert worst <= 2e-15
 
 
-@pytest.mark.parametrize("corrupt", ["one-root-short", "nan-root", "shifted-root"])
+def test_root_finding_scales_tall_factors_by_an_exact_power_of_two():
+    # a factor times 2^k has the same roots; its coefficients overflow a
+    # double from k of about 1000 on, and every k gives the same bits
+    factors = squarefree_decomposition(poly_strip(
+        ramification_form(make_random_general(3, 0)).coeffs))
+    for factor, _ in factors:
+        roots = binforms._roots_dense(factor)
+        for k in (500, 1100, 4000):
+            scaled = binforms._roots_dense([c << k for c in factor])
+            assert np.array_equal(scaled, roots)
+
+
+@pytest.mark.parametrize("corrupt", ["one-root-short", "nan-root", "shifted-root",
+                                     "no-convergence"])
 def test_root_finding_raises_on_a_bad_eigenvalue_set(monkeypatch, corrupt):
-    coeffs = [720.0, -1764.0, 1624.0, -735.0, 175.0, -21.0, 1.0]  # roots 1..6
+    coeffs = [720, -1764, 1624, -735, 175, -21, 1]  # roots 1..6
     assert np.allclose(np.sort(binforms._roots_dense(coeffs).real), range(1, 7))
     companion_roots = np.roots
 
     def bad_roots(p):
+        if corrupt == "no-convergence":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
         r = np.array(companion_roots(p), dtype=complex)
         if corrupt == "one-root-short":
             return r[:-1]

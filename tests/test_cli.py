@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import torelli_lab
+from conftest import save_surface
 from torelli_lab import ivhs, surfaces
 from torelli_lab.cli import build_parser, main
-from torelli_lab.surfaces import make_with_I2, save_surface
+from torelli_lab.surfaces import make_random_general, make_with_I2
 
 
 def run_module(*argv):
@@ -386,6 +387,28 @@ def test_malformed_surface_file_is_a_usage_error(tmp_path, capsys, defect):
     out, err = capsys.readouterr()
     assert err.startswith("error:usage: malformed surface data: ")
     assert out == ""
+
+
+def test_generate_writes_the_bytes_of_save_surface(tmp_path):
+    out, ref = tmp_path / "out.json", tmp_path / "ref.json"
+    assert main(["generate", "--h", "3", "--seed", "9", "-o", str(out)]) == 0
+    save_surface(make_random_general(3, seed=9), ref)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("digits", [320, 400])
+def test_analyze_on_a_tall_coefficient_is_a_typed_error(tmp_path, digits):
+    # within the height bound, but past the range of a double: the root
+    # finder fails, and says so as a typed error
+    data = surfaces.surface_to_json_dict(make_random_general(3, seed=0))
+    data["g4"][0] = "1" + "0" * digits
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = run_module("analyze", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:analyze: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_surface_coefficients_may_be_json_integers(tmp_path):

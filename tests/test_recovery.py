@@ -418,9 +418,10 @@ def test_roundtrip_dropped_factor_fits_no_admissible_genus(monkeypatch):
 # the vectorized extraction and interpolation against their loop forms
 # ---------------------------------------------------------------------------
 
-# the fixed relative eigenvalue gap that the extractor cut at before its
-# gap certificates; the loop-form reference keeps it
+# the fixed relative eigenvalue gap and frame condition that the extractor
+# cut at before its gap certificates; the loop-form reference keeps both
 EIG_GAP_MIN = 1e-6
+KAPPA_F_MAX = 1e12
 
 
 def _loop_extract_rank_ones(presentation, seed):
@@ -440,20 +441,19 @@ def _loop_extract_rank_ones(presentation, seed):
             continue
         pencil = np.linalg.solve(p2.T, p1.T).T
         try:
-            eig = linalg.eig_general(pencil)
+            values, y_frame = linalg.eig_general(pencil)
         except linalg.EigenConvergenceError:
             continue
-        if eig.defective:
-            continue
-        scale = max(1.0, float(np.max(np.abs(eig.values))))
-        gaps = np.abs(eig.values[:, None] - eig.values[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if float(np.min(gaps)) < EIG_GAP_MIN * scale:
-            continue
-        y_frame = eig.vectors
         try:
             dual = np.linalg.solve(y_frame.T, np.eye(n, dtype=complex))
         except np.linalg.LinAlgError:
+            continue
+        if not np.linalg.norm(y_frame) * np.linalg.norm(dual) < KAPPA_F_MAX:
+            continue
+        scale = max(1.0, float(np.max(np.abs(values))))
+        gaps = np.abs(values[:, None] - values[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if float(np.min(gaps)) < EIG_GAP_MIN * scale:
             continue
         slices = np.einsum("jda,ak->kdj", basis, dual)
         factors = []
@@ -638,6 +638,71 @@ def test_an_uncertified_normal_frame_names_its_certificate(monkeypatch):
     assert (eighs, eigs) == (recovery.EXTRACTION_RETRIES, 0)
     assert isinstance(err, DegeneratePresentationError)
     assert "Davis-Kahan" in str(err)
+
+
+def near_parallel_frame(presentation, delta):
+    """The presentation with its hidden frame Y replaced by M Y, where M is
+    the identity with rows 0 and 1 made e0 + e1 and delta e1: a frame of
+    condition about 2/delta, so a near-defective pencil, with the same
+    x's."""
+    mix = np.eye(presentation.N, dtype=complex)
+    mix[0, 1], mix[1, 1] = 1.0, delta
+    return IVHSPresentation(presentation.h, presentation.N,
+                            presentation.basis @ mix.T)
+
+
+def test_a_near_defective_pencil_fails_the_bauer_fike_certificate(
+        monkeypatch):
+    # kappa_F of every computed frame is about 3e6, far below any cut on
+    # kappa alone: the product with the gap quotients rejects them
+    pres = near_parallel_frame(synthesized(3), 3e-6)
+    eighs, eigs, err = _solver_calls(monkeypatch, pres, 0)
+    assert (eighs, eigs) == (0, recovery.EXTRACTION_RETRIES)
+    assert isinstance(err, DegeneratePresentationError)
+    assert err.args[0].endswith(
+        "(eigenvalues fail the Bauer-Fike gap certificate)")
+
+
+@pytest.mark.parametrize("route", ["normal", "general"])
+def test_a_singular_frame_is_a_typed_retry(route, monkeypatch):
+    # each route hands back a frame with a zero column, so LU meets an
+    # exact zero pivot in the dual solve on every attempt
+    def with_zero_column(solver):
+        def solve(pencil):
+            values, frame = solver(pencil)
+            frame = frame.copy()
+            frame[:, 1] = 0.0
+            return values, frame
+        return solve
+
+    if route == "normal":
+        pres = synthesized(3)
+        monkeypatch.setattr(recovery, "_normal_frame",
+                            with_zero_column(recovery._normal_frame))
+    else:
+        pres = mixed_frame(synthesized(3), 0.3, 3)
+        monkeypatch.setattr(linalg, "eig_general",
+                            with_zero_column(linalg.eig_general))
+    with pytest.raises(DegeneratePresentationError) as err:
+        extract_rank_ones(pres, 3)
+    assert err.value.args[0].endswith("(defective eigenframe)")
+
+
+@pytest.mark.parametrize("route", ["normal", "general"])
+def test_one_dual_solve_per_attempt_on_either_route(route, monkeypatch):
+    pres = synthesized(3) if route == "normal" \
+        else mixed_frame(synthesized(3), 0.3, 3)
+    solves, solve = [], np.linalg.solve
+
+    def counted_solve(a, b):
+        solves.append(np.shape(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    eighs, eigs, factors = _solver_calls(monkeypatch, pres, 3)
+    assert eighs + eigs == 1 and len(factors) == pres.N
+    # the pencil's solve, then the dual's
+    assert solves == [(pres.N, pres.N), (pres.N, pres.N)]
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-5, 1e-3, 1e-1, 1.0])

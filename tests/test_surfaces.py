@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import form_is_squarefree
+from conftest import form_is_squarefree, save_surface
 from torelli_lab import binforms, cli, surfaces
 from torelli_lab.binforms import (
     BinaryForm,
@@ -33,7 +33,6 @@ from torelli_lab.surfaces import (
     load_surface,
     make_random_general,
     make_with_I2,
-    save_surface,
     surface_from_json_dict,
     surface_to_json_dict,
 )
