@@ -105,8 +105,9 @@ def nullspace(a, rel_tol: float) -> np.ndarray:
 
 def eig_general(a):
     """(values, vectors) of a general square complex matrix: the eigenvalues
-    and unit eigenvectors, vectors[:, k] pairing values[k].  Whether the
-    frame is well conditioned is for the caller to decide."""
+    and the unit eigenvectors that ``numpy.linalg.eig`` returns, vectors[:, k]
+    pairing values[k].  Whether the frame is well conditioned is for the
+    caller to decide."""
     m = as_cmatrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("eig_general needs a square matrix")
@@ -114,6 +115,4 @@ def eig_general(a):
         values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    norms = np.linalg.norm(vectors, axis=0)
-    norms[norms == 0.0] = 1.0
-    return values, vectors / norms
+    return values, vectors

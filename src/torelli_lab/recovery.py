@@ -36,7 +36,7 @@ match against the ground truth.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -389,33 +389,19 @@ class RoundTripReport:
     h: int
     N: int
     seed: int
+    max_chordal: float
+    mean_chordal: float
+    quadric_dim: int
+    residual_max: float
+    point_residual_max: float
+    recovered_dL: int
+    dL_matches: bool
+    min_confidence: float
+    stage_timings_ms: dict
     status: str
-    max_chordal: float = None
-    mean_chordal: float = None
-    quadric_dim: int = None
-    residual_max: float = None
-    point_residual_max: float = None
-    recovered_dL: int = None
-    dL_matches: bool = None
-    min_confidence: float = None
-    stage_timings_ms: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "N": self.N,
-            "seed": self.seed,
-            "max_chordal": self.max_chordal,
-            "mean_chordal": self.mean_chordal,
-            "quadric_dim": self.quadric_dim,
-            "residual_max": self.residual_max,
-            "point_residual_max": self.point_residual_max,
-            "recovered_dL": self.recovered_dL,
-            "dL_matches": self.dL_matches,
-            "min_confidence": self.min_confidence,
-            "stage_timings_ms": dict(self.stage_timings_ms),
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 @_one_blas_thread
@@ -527,7 +513,6 @@ def roundtrip(s: WeierstrassSurface, seed: int,
         h=inv.h,
         N=inv.N,
         seed=seed,
-        status="ok",
         max_chordal=match.max_chordal,
         mean_chordal=match.mean_chordal,
         quadric_dim=geometry.quadric_dim,
@@ -537,5 +522,6 @@ def roundtrip(s: WeierstrassSurface, seed: int,
         dL_matches=recovered_dl == s.dL,
         min_confidence=float(min(f.confidence for f in factors)),
         stage_timings_ms=timings,
+        status="ok",
     )
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import binforms
@@ -49,6 +49,9 @@ REJECTION_BUDGET = 1000
 # surface with one coefficient at the bound costs about 3 ms on a 2-core
 # x86-64 machine; at 10^5 digits it costs 0.33 s and at 10^6 digits 11.5 s,
 # which a 9-character decimal string such as "1e1000000" would otherwise buy.
+# The bound limits the cost of the exact arithmetic, not the range that
+# double-precision root location handles: on the h = 3, seed 0 surface,
+# analyze passes with g4[0] = 10^60 but ends in a typed error from 10^100.
 COEFF_DIGITS_MAX = 4300
 _HEIGHT_MAX = 10 ** COEFF_DIGITS_MAX
 
@@ -117,16 +120,7 @@ class Invariants:
         return self.N + 2
 
     def to_json_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "q": self.q,
-            "chi": self.chi,
-            "N": self.N,
-            "c2": self.c2,
-            "deg_phi": self.deg_phi,
-            "deg_canonical_curve": self.deg_canonical_curve,
-            "h11": self.h11,
-        }
+        return {**asdict(self), "h11": self.h11}
 
 
 class WeierstrassSurface:
@@ -335,14 +329,7 @@ class GeneralityReport:
         return self.is_general
 
     def to_json_dict(self) -> dict:
-        return {
-            "is_general": self.is_general,
-            "all_fibers_i1": self.all_fibers_i1,
-            "ram_reduced": self.ram_reduced,
-            "ram_avoids_discriminant": self.ram_avoids_discriminant,
-            "failed_clauses": list(self.failed_clauses),
-            "warnings": list(self.warnings),
-        }
+        return {"is_general": self.is_general, **asdict(self)}
 
 
 def genericity(s: WeierstrassSurface) -> GeneralityReport:
@@ -444,38 +431,22 @@ def make_random_general(h: int, seed: int) -> WeierstrassSurface:
         f"no general surface with h = {h} found in {REJECTION_BUDGET} draws")
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over the rationals; rows must be independent."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(v)]
-         for row, v in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise ArithmeticError("singular interpolation system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def _hermite_interpolant(points, values, derivs):
     """Polynomial of degree < 2r matching a value and a derivative at each
-    of the r points; exact."""
-    r = len(points)
-    n = 2 * r
-    rows, rhs = [], []
-    for p, v, d in zip(points, values, derivs):
-        powers = [Fraction(p) ** j for j in range(n)]
-        rows.append(powers)
-        rhs.append(v)
-        rows.append([j * powers[j - 1] if j else Fraction(0) for j in range(n)])
-        rhs.append(d)
-    return poly_strip(_solve_exact(rows, rhs))
+    of r distinct Fraction points; exact.  It is the sum over i of
+    l_i(z)^2 (v_i + e_i (z - p_i)), with l_i the Lagrange basis and
+    e_i = d_i - v_i sum_{j != i} 2 / (p_i - p_j)."""
+    total = []
+    for i, (p, v, d) in enumerate(zip(points, values, derivs)):
+        ell = [Fraction(1)]
+        slope = 0
+        for q in points[:i] + points[i + 1:]:
+            ell = poly_mul(ell, [-q / (p - q), 1 / (p - q)])
+            slope += 2 / (p - q)
+        e = d - v * slope
+        total = binforms.poly_add(
+            total, poly_mul(poly_mul(ell, ell), [v - e * p, e]))
+    return total
 
 
 def make_with_I2(h: int, points, seed: int) -> WeierstrassSurface:
@@ -483,8 +454,9 @@ def make_with_I2(h: int, points, seed: int) -> WeierstrassSurface:
 
     At each point the two-jet of (g4, g6) is forced to (3s^2 + a1 z,
     s^3 + (a1 s / 2) z) in the local coordinate, which satisfies both local
-    equations identically; the remaining coefficients are fixed by Hermite
-    interpolation plus random fill.  Validated exactly: v(Delta) = 2 at each
+    equations identically.  Each form is the closed-form Hermite interpolant
+    of those jets (degree < 2r) plus a random multiple of prod (z - p)^2,
+    which leaves the jets as they are.  Validated exactly: v(Delta) = 2 at each
     prescribed point and each point is a root of the ramification form.
     """
     q = 0

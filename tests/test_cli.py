@@ -97,6 +97,24 @@ def test_analyze_determinism_modulo_timestamp(tmp_path):
     assert without_timestamp(a) == without_timestamp(b)
 
 
+def test_report_blocks_keep_their_key_order(tmp_path):
+    # every digest hashes with sort_keys, so only this test sees the order
+    surf, rep, rt = (tmp_path / name for name in ("s.json", "a.json", "r.json"))
+    main(["generate", "--h", "3", "--seed", "2", "-o", str(surf)])
+    assert main(["analyze", str(surf), "-o", str(rep)]) == 0
+    data = read_json(rep)
+    assert list(data["invariants"]) == [
+        "h", "q", "chi", "N", "c2", "deg_phi", "deg_canonical_curve", "h11"]
+    assert list(data["genericity"]) == [
+        "is_general", "all_fibers_i1", "ram_reduced",
+        "ram_avoids_discriminant", "failed_clauses", "warnings"]
+    assert main(["roundtrip", "--h", "3", "--trials", "1", "-o", str(rt)]) == 0
+    assert list(read_json(rt)["trials"][0]) == [
+        "h", "N", "seed", "max_chordal", "mean_chordal", "quadric_dim",
+        "residual_max", "point_residual_max", "recovered_dL", "dL_matches",
+        "min_confidence", "stage_timings_ms", "status"]
+
+
 def test_analyze_isotrivial_exits_one(tmp_path, capsys):
     # g4 = 3u^2, g6 = u^3 with u of degree 8 makes Delta identically zero
     from fractions import Fraction
@@ -396,10 +414,11 @@ def test_generate_writes_the_bytes_of_save_surface(tmp_path):
     assert out.read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("digits", [320, 400])
+@pytest.mark.parametrize("digits", [100, 200, 320, 400])
 def test_analyze_on_a_tall_coefficient_is_a_typed_error(tmp_path, digits):
-    # within the height bound, but past the range of a double: the root
-    # finder fails, and says so as a typed error
+    # within the height bound, but past what double-precision root location
+    # handles (10^100 already fails to separate the points): the analysis
+    # fails, and says so as a typed error
     data = surfaces.surface_to_json_dict(make_random_general(3, seed=0))
     data["g4"][0] = "1" + "0" * digits
     path = tmp_path / "surface.json"

@@ -325,6 +325,27 @@ def test_make_with_i2_failed_jets_are_a_typed_error(monkeypatch):
         make_with_I2(3, [Fraction(0)], seed=0)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_hermite_interpolant_matches_rational_jets_exactly(r):
+    # non-integer points, which the pinned I2 sets never use
+    points = [Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4), Fraction(-2)][:r]
+    rng = random.Random(r)
+
+    def draw():
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+
+    for _ in range(5):
+        values = [draw() for _ in points]
+        derivs = [draw() for _ in points]
+        t = surfaces._hermite_interpolant(points, values, derivs)
+        assert t == poly_strip(t) and len(t) <= 2 * r     # degree < 2r
+        assert all(isinstance(c, (int, Fraction)) for c in t)
+        dt = poly_derivative(t)
+        for p, v, d in zip(points, values, derivs):
+            assert poly_eval(t, p) == v
+            assert poly_eval(dt, p) == d
+
+
 def _digest(surfs):
     digest = hashlib.sha256()
     for s in surfs:
