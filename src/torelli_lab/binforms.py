@@ -18,8 +18,9 @@ primitive pseudo-remainder sequence (PRS) as its only fallback.  There is
 no separate squarefree test: squarefreeness is read off Yun's
 decomposition, whose first gcd is that of (a, a').  The first transvectant
 is computed on the same polynomial layer, from its affine identity.  Numerical
-roots are companion-matrix eigenvalues polished by one Newton step, and
-every root is checked against a backward-error bound.
+roots are the eigenvalues of a real companion matrix, polished by one Newton
+step, and every root is checked against a backward-error bound; the roots of
+an integer factor are closed under complex conjugation, bit for bit.
 """
 
 from __future__ import annotations
@@ -261,17 +262,20 @@ def _roots_dense(factor):
     coefficients, with a nonzero leading entry.
 
     The coefficients are divided by 2^k, k > 0 only above 2^1000, then
-    scaled to unit max-norm.  Companion-matrix eigenvalues (numpy.roots)
-    are backward stable for them (Edelman & Murakami, Math. Comp. 64,
-    1995).  One Newton step polishes them, kept only where it lowers |p|.
-    A failed companion solve, a missing root, or a root off the bound
-    |p(z)| <= BACKWARD_ERROR_TOL * max(1, |z|)^n raises TorelliLabError.
+    scaled to unit max-norm in float64.  The eigenvalues of their real
+    companion matrix (numpy.roots, real QR) are backward stable for them
+    (Edelman & Murakami, Math. Comp. 64, 1995).  Real QR returns complex
+    roots in exact conjugate pairs and real roots with imaginary part 0.0,
+    and the Newton step keeps that symmetry; it polishes each root, kept
+    only where it lowers |p|.  A failed companion solve, a missing root, or
+    a root off the bound |p(z)| <= BACKWARD_ERROR_TOL * max(1, |z|)^n
+    raises TorelliLabError.
     """
     n = len(factor) - 1
     if n <= 0:
         return np.empty(0, dtype=complex)
     scale = 1 << max(0, max(abs(c) for c in factor).bit_length() - 1000)
-    c = np.array([x / scale for x in factor], dtype=complex)
+    c = np.array([x / scale for x in factor], dtype=float)
     c = c / np.max(np.abs(c))
     with np.errstate(all="ignore"):
         try:

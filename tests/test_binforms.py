@@ -314,13 +314,14 @@ def test_backward_error_bound():
             assert val <= 1e-9 * scale * max(1.0, abs(r)) ** f.degree
 
 
-def _newton_refined(factor, roots, dps=50):
+def _newton_refined(factor, roots, dps=50, digits=45):
     """Each root refined by Newton's method at ``dps`` digits on the exact
-    integer factor: the reference for the forward error."""
+    integer factor, until a step is below 10^-digits * max(1, |z|): the
+    reference for the forward error."""
     with mpmath.workdps(dps):
         p = [mpmath.mpf(int(c)) for c in reversed(factor)]
         dp = [k * c for k, c in zip(range(len(p) - 1, 0, -1), p)]
-        tol = mpmath.mpf(10) ** (5 - dps)
+        tol = mpmath.mpf(10) ** -digits
         out = []
         for r in roots:
             z = mpmath.mpc(r.real, r.imag)
@@ -346,7 +347,25 @@ def test_roots_match_a_high_precision_reference(form_of):
         roots = binforms._roots_dense(factor)
         ref = _newton_refined(factor, roots)
         worst = max(worst, float(np.max(np.abs(roots - ref) / np.abs(ref))))
+        # a real factor's roots are closed under conjugation, bit for bit,
+        # and none is off the real line by less than the clustering scale
+        assert np.array_equal(np.sort(roots), np.sort(roots.conj()))
+        assert not np.any((roots.imag != 0) & (np.abs(roots.imag) < CLUSTER_TOL))
     assert worst <= 2e-15
+
+
+def test_roots_near_an_i2_fibre_are_distinct_at_the_cluster_scale():
+    # W has a near-triple root cluster at each prescribed I2 point, here
+    # -3 and -3 +- 1.5e-4i; its roots must still be located well inside the
+    # scale at which a divisor declares points distinct
+    s = make_with_I2(4, [Fraction(1, 2), -3], seed=1)
+    worst = 0.0
+    for factor, _ in squarefree_decomposition(
+            poly_strip(ramification_form(s).coeffs)):
+        roots = binforms._roots_dense(factor)
+        ref = _newton_refined(factor, roots, digits=30)
+        worst = max(worst, float(np.max(np.abs(roots - ref) / np.abs(ref))))
+    assert worst < CLUSTER_TOL
 
 
 def test_root_finding_scales_tall_factors_by_an_exact_power_of_two():

@@ -339,8 +339,8 @@ def test_roundtrip_h6():
     assert report.quadric_dim == expected_quadric_dimension(6) == 10
 
 
-ROUNDTRIP_DIGEST = "2ce5323703fbd36c6623b3ced4ff8254b26889726258dadddf8142d468232296"
-RECOVER_Z_DIGEST = "4753b9cee752b09aacc18a64e7009b87387b9ce6756c270ab30922fc60a45a13"
+ROUNDTRIP_DIGEST = "658083e61a805c791b6c5438c5810dae6b0a1ea1a6b5ea356830bc1fbdc84c5c"
+RECOVER_Z_DIGEST = "ca80a46493db558869f27907ab960c3b132d5790a3bbf5a7a283d4b4168da4e0"
 
 
 def _roundtrip_digest():

@@ -421,7 +421,7 @@ def test_every_gcd_of_the_pinned_sets_is_certified_without_the_prs(monkeypatch):
     _exact_facts(sampled + i2)
 
 
-ANALYZE_DIGEST = "23f880b21abc165603154d1376e9a736f81895e277d0beeafcf4697108b6bb67"
+ANALYZE_DIGEST = "4cf0df2257ae2e1cb70652ecb8cf9c91228bf0f6d2e8591febd7ce62ddac88d7"
 
 
 def _analyze_digest(surfs, tmp_path):
