@@ -102,8 +102,10 @@ def canonical_points(base_points, h: int) -> tuple:
 
 class IVHSPresentation:
     """An N-dimensional subspace of C^(h x N) given by a finite basis of
-    matrices, independent to ``BASIS_INDEPENDENCE_TOL``: a Gram certificate
-    decides every synthesized basis, and an SVD decides what it cannot."""
+    matrices, independent to ``BASIS_INDEPENDENCE_TOL``.  A Cholesky
+    factorization of the Gram matrix, its diagonal lowered by the rounding
+    margins, certifies every synthesized basis; an SVD decides what it
+    cannot."""
 
     __slots__ = ("h", "N", "basis")
 
@@ -115,27 +117,51 @@ class IVHSPresentation:
         if basis.shape != (N, h, N):
             raise InvalidPresentationError(
                 f"expected basis of shape {(N, h, N)}, got {basis.shape}")
-        if not np.all(np.isfinite(basis)):
+        flat = basis.reshape(N, h * N)
+        peak = np.max(np.abs(flat))
+        if not np.isfinite(peak):
             raise InvalidPresentationError("basis contains NaN or Inf")
         # The certificate, on F = flat scaled exactly by a power of 2 so that
-        # G = fl(F F^H) cannot overflow: G is within gamma_(hN+2) ||F||_F^2
-        # of F F^H in the 2-norm (Higham, Accuracy and Stability of Numerical
-        # Algorithms, 2002, section 3.5, and 3.6 for complex products), and
-        # eigvalsh is exact for a matrix within p(N) u ||G||_2 of G (LAPACK
-        # Users' Guide, section 4.7; p(N) = 2 N^2 also covers ||G||_2 <=
-        # (1 + gamma) ||F||_F^2, which trace(G) stands for).  By Weyl's
-        # inequality each computed eigenvalue lies within delta of a
-        # sigma_i(F)^2, so lam_min - delta > tol^2 (lam_max + delta) proves
-        # sigma_min > tol sigma_max.  Otherwise an SVD decides, on the
-        # transpose (LAPACK takes the tall layout about twice as fast).
-        flat = basis.reshape(N, h * N)
-        _, e = np.frexp(np.max(np.abs(flat)))
+        # G = fl(F F^H) cannot overflow and tr G stays far above underflow.
+        # With u the unit roundoff and gamma_k = k u / (1 - k u):
+        # - G.  Each entry is a complex inner product of length hN, which the
+        #   BLAS forms as real ones of length 2hN in some order, so
+        #   |G - F F^H| <= sqrt(2) gamma_(2hN) |F| |F|^T <= gamma_(3hN) |F| |F|^T
+        #   entrywise (Higham, Accuracy and Stability of Numerical
+        #   Algorithms, 2002, sections 3.1 and 3.6).  Reading ||F||_F^2 off
+        #   the computed trace costs N more, so delta = gamma_((3h+1)N) tr G
+        #   bounds both ||G - F F^H||_2 and ||F||_F^2 - tr G.  The bound is
+        #   entrywise and symmetric, so it holds for the Hermitian matrix of
+        #   G's lower triangle, the part LAPACK's Cholesky reads.
+        # - Cholesky.  If it factors A = G - s I (s = t + c, subtracted in
+        #   place), then R^H R = A + E with |E| <= gamma_(3N+3) |R^H| |R|:
+        #   Higham's Theorem 10.3, with each complex inner product again a
+        #   pair of real ones of twice the length.  Its diagonal gives
+        #   ||R||_F^2 <= tr A / (1 - gamma_(3N+3)), and R^H R is positive
+        #   definite, so lam_min(A) > -||E||_2 >= -c for
+        #   c = gamma_k / (1 - gamma_k) tr G = k u tr G / (1 - 2 k u) with
+        #   k = 3N + 6: the three beyond 3N + 3 cover, to first order in u,
+        #   the rounding of the trace, of s and of the shifted diagonal
+        #   (Rump, Verification of positive definiteness, BIT 46, 2006).
+        #   Then lam_min(G) > t.
+        # - Verdict.  By Weyl's inequality sigma_min(F)^2 >= lam_min(G) - delta
+        #   > tol^2 (tr G + delta) >= tol^2 sigma_max(F)^2 for
+        #   t = tol^2 (tr G + delta) + delta, which proves
+        #   sigma_min > tol sigma_max.  A failed factorization proves nothing,
+        #   and an SVD decides, on the transpose (LAPACK takes the tall layout
+        #   about twice as fast).
+        _, e = np.frexp(peak)
         scaled = flat * np.ldexp(1.0, min(-int(e), 1023))
         gram = scaled @ scaled.conj().T
-        lam = np.linalg.eigvalsh(gram)
-        u, m = np.finfo(float).eps / 2, h * N + 2
-        delta = (m * u / (1 - m * u) + 2 * N * N * u) * np.trace(gram).real
-        if not lam[0] - delta > BASIS_INDEPENDENCE_TOL ** 2 * (lam[-1] + delta):
+        trace = np.trace(gram).real
+        u, m, k = np.finfo(float).eps / 2, (3 * h + 1) * N, 3 * N + 6
+        delta = m * u / (1 - m * u) * trace
+        t = BASIS_INDEPENDENCE_TOL ** 2 * (trace + delta) + delta
+        c = k * u / (1 - 2 * k * u) * trace
+        gram.flat[::N + 1] -= t + c
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
             sv = np.linalg.svd(flat.T, compute_uv=False)
             if sv[0] == 0.0 or sv[-1] <= BASIS_INDEPENDENCE_TOL * sv[0]:
                 raise InvalidPresentationError(

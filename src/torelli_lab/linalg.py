@@ -92,7 +92,9 @@ def nullspace(a, rel_tol: float) -> np.ndarray:
     m = as_cmatrix(a)
     if m.size == 0:
         return np.eye(m.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    # a tall matrix's reduced vh is already square; only a wide one needs
+    # the full one, and U is never read
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return np.eye(m.shape[1], dtype=complex)

@@ -407,31 +407,54 @@ class RoundTripReport:
 @_one_blas_thread
 def match_points(recovered: np.ndarray, truth: np.ndarray) -> MatchReport:
     """Optimal bipartite matching of projective point sets in chordal
-    distance; dist[i, j] is the stable form of ``chordal_distance``,
-    broadcast over all pairs.
+    distance, each matched distance the stable form of ``chordal_distance``.
 
-    When the rows' nearest neighbours are distinct, that map is itself an
-    optimal assignment: every row sits at its own minimum, so no assignment
-    has a smaller sum.  Otherwise, or on NaN distances, scipy solves it.
-    Both sets must have the same shape."""
+    For unit x and y, chordal(x, y)^2 = 1 - |<x, y>|^2, so each row's
+    nearest point is the one of largest |<x, y>|.  When those picks are
+    distinct, that map is itself an optimal assignment: every row sits at
+    its own minimum, so no assignment has a smaller sum.  The picks are
+    taken as they are when every row's largest |<x, y>|^2 beats its
+    runner-up by more than the rounding bound below, which proves the pick
+    is also the row's minimum of the computed distances; only then are the
+    N matched distances all that is computed.  Otherwise the distances of
+    all pairs are broadcast, and when their row minima collide, or a
+    distance is NaN, scipy solves the assignment.  Both sets must have the
+    same shape."""
     if recovered.shape != truth.shape:
         raise UsageError(
             f"cannot match {recovered.shape[0]} recovered points of shape "
             f"{recovered.shape} against {truth.shape[0]} true points of "
             f"shape {truth.shape}")
-    n = recovered.shape[0]
+    n, h = recovered.shape
     rec = recovered / np.linalg.norm(recovered, axis=1, keepdims=True)
     tru = truth / np.linalg.norm(truth, axis=1, keepdims=True)
     inner = rec.conj() @ tru.T
-    dist = np.linalg.norm(tru[None, :, :] - inner[:, :, None] * rec[:, None, :],
-                          axis=2)
-    rows, cols = np.arange(n), dist.argmin(axis=1)
-    if np.unique(cols).size < n or np.isnan(dist).any():
-        from scipy.optimize import linear_sum_assignment
-        rows, cols = linear_sum_assignment(dist)
+    # With unit roundoff u, the stored rows have squared norms within
+    # (2h + 4) u of 1 and the BLAS inner products are within
+    # sqrt(2) gamma_(2h) of the exact ones of those rows, so to first order
+    # in u every computed distance d and computed closeness a = |inner|^2
+    # satisfy |d^2 - (1 - a)| <= (12 h + 20) u <= 16 (h + 2) u.  A gap in a
+    # of twice that makes d strictly smallest at the pick.
+    rows = np.arange(n)
+    close = inner.real ** 2 + inner.imag ** 2
+    cols = close.argmax(axis=1)
+    best = close[rows, cols]
+    close[rows, cols] = -np.inf
+    gap = best - close.max(axis=1)
+    if np.all(gap > 32 * (h + 2) * np.finfo(float).eps / 2) \
+            and np.unique(cols).size == n:
+        matched = np.linalg.norm(tru[cols] - inner[rows, cols, None] * rec,
+                                 axis=1)
+    else:
+        dist = np.linalg.norm(
+            tru[None, :, :] - inner[:, :, None] * rec[:, None, :], axis=2)
+        cols = dist.argmin(axis=1)
+        if np.unique(cols).size < n or np.isnan(dist).any():
+            from scipy.optimize import linear_sum_assignment
+            rows, cols = linear_sum_assignment(dist)
+        matched = dist[rows, cols]
     order = np.empty(n, dtype=int)
     order[rows] = cols
-    matched = dist[rows, cols]
     return MatchReport(
         permutation=tuple(int(c) for c in order),
         max_chordal=float(matched.max()),

@@ -253,7 +253,7 @@ def test_synthesized_presentations_are_certified_without_an_svd(
         monkeypatch, h):
     # the rows x_k (x) y_k are orthonormal, so sigma_min/sigma_max is at
     # least 1/(MIXER_COND_MAX * LAMBDA_MAX / LAMBDA_MIN) = 1e-4, far inside
-    # what the Gram certificate proves
+    # what the Cholesky certificate proves
     assert MIXER_COND_MAX * LAMBDA_MAX / LAMBDA_MIN == pytest.approx(1e4)
     pres, _ = synthesize(make_random_general(h, seed=h), seed=h)
     calls = _count_svd(monkeypatch)
@@ -271,24 +271,54 @@ def test_independence_cut_is_decided_by_the_svd(monkeypatch, ratio):
     assert calls == [1]
 
 
-@pytest.mark.parametrize("log_ratio", [-1, -3, -5, -6, -7, -8, -9, -11, -12, -13])
-def test_certificate_and_svd_give_one_verdict(log_ratio):
-    # flattened bases at sigma_min/sigma_max = 10^log_ratio, from
-    # comfortably independent to below the cut: the verdict is the SVD's
+LOG_RATIOS = [-1, -3, -5, -6, -7, -8, -9, -11, -12, -13]
+
+
+def _graded_basis(log_ratio, n, h):
+    """A basis whose flattening has singular values spread evenly in log
+    scale from 1 to 10^log_ratio."""
     rng = np.random.default_rng(-log_ratio)
-    n, h = 12, 4
     left, _ = np.linalg.qr(rng.standard_normal((n, n))
                            + 1j * rng.standard_normal((n, n)))
     right, _ = np.linalg.qr(rng.standard_normal((h * n, n))
                             + 1j * rng.standard_normal((h * n, n)))
     svals = np.logspace(0.0, log_ratio, n)
-    basis = ((left * svals) @ right.conj().T).reshape(n, h, n)
+    return ((left * svals) @ right.conj().T).reshape(n, h, n)
+
+
+@pytest.mark.parametrize("log_ratio", LOG_RATIOS)
+def test_certificate_and_svd_give_one_verdict(log_ratio, n=12, h=4):
+    # flattened bases at sigma_min/sigma_max = 10^log_ratio, from
+    # comfortably independent to below the cut: the verdict is the SVD's
+    basis = _graded_basis(log_ratio, n, h)
     sv = np.linalg.svd(basis.reshape(n, h * n).T, compute_uv=False)
     if sv[-1] > BASIS_INDEPENDENCE_TOL * sv[0]:
         IVHSPresentation(h=h, N=n, basis=basis)
     else:
         with pytest.raises(InvalidPresentationError):
             IVHSPresentation(h=h, N=n, basis=basis)
+
+
+@pytest.mark.parametrize("n,h", [(58, 5), (88, 8)])
+@pytest.mark.parametrize("log_ratio", LOG_RATIOS)
+def test_certificate_and_svd_give_one_verdict_at_benchmark_scale(
+        monkeypatch, log_ratio, n, h):
+    # the sizes of the round-trip and recovery workloads, where the
+    # Cholesky margin c is largest; a comfortably independent basis is
+    # still certified without an SVD
+    test_certificate_and_svd_give_one_verdict(log_ratio, n, h)
+    calls = _count_svd(monkeypatch)
+    if log_ratio >= -5:
+        IVHSPresentation(h=h, N=n, basis=_graded_basis(log_ratio, n, h))
+        assert calls == []
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(-np.inf, 1.0)])
+def test_nonfinite_basis_is_invalid(entry):
+    basis = np.eye(4, dtype=complex).reshape(4, 1, 4).repeat(3, axis=1)
+    basis[2, 1, 3] = entry
+    with pytest.raises(InvalidPresentationError, match="NaN or Inf"):
+        IVHSPresentation(h=3, N=4, basis=basis)
 
 
 @pytest.mark.parametrize("scale", [1e-310, 1e-200, 1.0, 1e200, 1e300])

@@ -59,6 +59,32 @@ def test_nullspace_residual_bound():
             assert np.linalg.norm(a @ ns[:, j]) <= 10 * 1e-8 * smax
 
 
+def test_nullspace_of_a_tall_matrix_skips_u_bit_for_bit(monkeypatch):
+    # the recovery's Veronese rows are tall (88 x 36 at h = 8): the reduced
+    # SVD there gives the same vh to the last bit as the full one
+    rng = np.random.default_rng(5)
+    svd = np.linalg.svd
+    for rows, cols, rank in [(88, 36, 30), (40, 12, 12), (12, 12, 7)]:
+        a = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+        reduced = nullspace(a, 1e-8)
+        monkeypatch.setattr(np.linalg, "svd", lambda m, full_matrices:
+                            svd(m, full_matrices=True))
+        full = nullspace(a, 1e-8)
+        monkeypatch.undo()
+        assert reduced.shape == (cols, cols - rank)
+        assert np.array_equal(reduced.view(np.uint64), full.view(np.uint64))
+
+
+def test_nullspace_of_a_wide_matrix_has_the_full_dimension():
+    rng = np.random.default_rng(6)
+    for rows, cols, rank in [(5, 12, 5), (5, 12, 3), (1, 4, 1)]:
+        a = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+        ns = nullspace(a, 1e-8)
+        assert ns.shape == (cols, cols - rank)
+        assert np.allclose(ns.conj().T @ ns, np.eye(cols - rank), atol=1e-12)
+        assert np.linalg.norm(a @ ns) <= 1e-12 * np.linalg.norm(a, 2)
+
+
 def test_eig_examples():
     values, vectors = eig_general(np.diag([2.0, 5.0]))
     assert sorted(values.real) == pytest.approx([2.0, 5.0])
@@ -117,7 +143,8 @@ def test_eig_recovers_separated_spectra():
 # ---------------------------------------------------------------------------
 
 CALLER_THREADS = 3      # neither 1 nor the default, so a restore shows
-SPIED = ("eig", "eigvals", "eigvalsh", "svd", "solve", "qr", "norm")
+SPIED = ("eig", "eigvals", "eigvalsh", "cholesky", "svd", "solve", "qr",
+         "norm")
 
 
 @pytest.fixture

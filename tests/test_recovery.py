@@ -128,7 +128,8 @@ def test_chordal_metrics_resolve_a_tiny_perturbation():
 
 
 def chordal_matrix(recovered, truth):
-    """dist[i, j], broadcast exactly as ``match_points`` builds it, so the
+    """dist[i, j] of every pair, by the stable formula ``match_points``
+    uses for the pairs it matches and for its broadcast fallback, so the
     oracle solves the same matrix bit for bit."""
     rec = recovered / np.linalg.norm(recovered, axis=1, keepdims=True)
     tru = truth / np.linalg.norm(truth, axis=1, keepdims=True)
@@ -149,20 +150,32 @@ def projective_noise(rng, x, scale):
 def test_match_points_agrees_with_the_assignment_oracle(monkeypatch):
     """A nearest-neighbour bijection is taken as it is; colliding nearest
     neighbours go to the assignment solver.  Either way the permutation and
-    the chordal statistics are those of ``linear_sum_assignment``."""
+    the chordal statistics are those of ``linear_sum_assignment``, bit for
+    bit, also at the recovery workload's N = 88, h = 8.  A bijection
+    computes only the matched distances: no 3-D array reaches the norm."""
     oracle = scipy.optimize.linear_sum_assignment
-    solved = []
+    solved, norm_ndims = [], []
+    norm = np.linalg.norm
 
     def counted(dist):
         solved.append(1)
         return oracle(dist)
 
+    def spied_norm(x, *args, **kwargs):
+        norm_ndims.append(np.ndim(x))
+        return norm(x, *args, **kwargs)
+
     monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
     rng = np.random.default_rng(11)
     fallbacks = {"bijective": 0, "duplicated": 0, "clustered": 0}
-    for trial in range(90):
-        kind = ("bijective", "duplicated", "clustered")[trial % 3]
-        n, h = int(rng.integers(3, 61)), int(rng.integers(3, 7))
+    cases = [(("bijective", "duplicated", "clustered")[trial % 3], None)
+             for trial in range(90)]
+    cases += [(kind, (88, 8)) for kind in ("bijective", "duplicated") * 2]
+    for kind, size in cases:
+        if size is None:
+            n, h = int(rng.integers(3, 61)), int(rng.integers(3, 7))
+        else:
+            n, h = size
         truth = rng.standard_normal((n, h)) + 1j * rng.standard_normal((n, h))
         if kind == "duplicated":
             copies = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
@@ -175,8 +188,13 @@ def test_match_points_agrees_with_the_assignment_oracle(monkeypatch):
                                      1e-7 if kind != "clustered" else 1e-1)
 
         solved.clear()
-        report = match_points(recovered, truth)
+        norm_ndims.clear()
+        with monkeypatch.context() as spy:
+            spy.setattr(np.linalg, "norm", spied_norm)
+            report = match_points(recovered, truth)
         fallbacks[kind] += bool(solved)
+        if kind == "bijective":
+            assert norm_ndims and max(norm_ndims) == 2
         dist = chordal_matrix(recovered, truth)
         np.testing.assert_allclose(
             dist[0], [chordal_distance(recovered[0], t) for t in truth],
@@ -191,8 +209,29 @@ def test_match_points_agrees_with_the_assignment_oracle(monkeypatch):
     # every bijective case took the certificate, every duplicated one the
     # solver, and the clustered ones reached the solver at least once
     assert fallbacks["bijective"] == 0
-    assert fallbacks["duplicated"] == 30
+    assert fallbacks["duplicated"] == 32
     assert fallbacks["clustered"] > 0
+
+
+def test_match_points_resolves_a_near_tie_by_the_distances():
+    # true points 0 and 1 lie about 3e-9 apart, closer than |<x, y>|^2 can
+    # tell (its rounding is about 1e-16, the square of a 1e-8 angle): here
+    # the largest |<x, y>| of each of rows 0 and 1 is the other's point,
+    # a bijection that is not optimal, so the stable distances must decide
+    rng = np.random.default_rng(2)
+    n, h = 4, 5
+    truth = rng.standard_normal((n, h)) + 1j * rng.standard_normal((n, h))
+    truth[1] = truth[0] + 3e-9 * (rng.standard_normal(h)
+                                  + 1j * rng.standard_normal(h))
+    recovered = truth + 1e-9 * (rng.standard_normal((n, h))
+                                + 1j * rng.standard_normal((n, h)))
+    rec = recovered / np.linalg.norm(recovered, axis=1, keepdims=True)
+    tru = truth / np.linalg.norm(truth, axis=1, keepdims=True)
+    assert tuple(np.abs(rec.conj() @ tru.T).argmax(axis=1)) == (1, 0, 2, 3)
+    dist = chordal_matrix(recovered, truth)
+    report = match_points(recovered, truth)
+    assert report.permutation == (0, 1, 2, 3)
+    assert report.max_chordal == float(dist[np.arange(n), np.arange(n)].max())
 
 
 def test_match_points_rejects_a_zero_point_like_the_solver():
