@@ -9,12 +9,14 @@ are transcendental; they form an orthogonal frame, so this module models
 them by a unitary frame drawn once per surface (from a digest of the exact
 surface data, overridable), while the per-synthesis seed draws the unknown
 scalar weights and a well-conditioned change of basis that hides the rank-1
-structure.  The recovery argument needs only the frame's linear
-independence, and so does the extractor's general-eigensolver path; its
-fast path uses the orthogonality, because a unitary frame makes the pencil
-it diagonalizes normal, and it certifies that normality before relying on
-it.  The spanned subspace of C^(h x N) is then an invariant of the
-surface, not of the synthesis seed.
+structure.  Those rank-1 tensors are orthonormal, so a synthesized basis is
+independent by construction and is not re-certified; any other basis is
+certified when a presentation is made from it.  The recovery argument needs
+only the frame's linear independence, and so does the extractor's
+general-eigensolver path; its fast path uses the orthogonality, because a
+unitary frame makes the pencil it diagonalizes normal, and it certifies
+that normality before relying on it.  The spanned subspace of C^(h x N)
+is then an invariant of the surface, not of the synthesis seed.
 """
 
 from __future__ import annotations
@@ -102,25 +104,19 @@ def canonical_points(base_points, h: int) -> tuple:
 
 class IVHSPresentation:
     """An N-dimensional subspace of C^(h x N) given by a finite basis of
-    matrices, independent to ``BASIS_INDEPENDENCE_TOL``.  A Cholesky
+    matrices, independent to ``BASIS_INDEPENDENCE_TOL``.  The constructor
+    proves that independence for any basis handed to it: a Cholesky
     factorization of the Gram matrix, its diagonal lowered by the rounding
-    margins, certifies every synthesized basis; an SVD decides what it
-    cannot."""
+    margins, certifies it, and an SVD decides what that cannot.
+    ``synthesize`` proves it by construction instead and builds through
+    ``_presentation_by_construction``, which checks shape and finiteness
+    only."""
 
     __slots__ = ("h", "N", "basis")
 
     def __init__(self, h: int, N: int, basis):
-        if h < 1 or N < 1:
-            raise InvalidPresentationError(
-                f"a presentation needs h >= 1 and N >= 1, got {h} and {N}")
-        basis = np.asarray(basis, dtype=complex)
-        if basis.shape != (N, h, N):
-            raise InvalidPresentationError(
-                f"expected basis of shape {(N, h, N)}, got {basis.shape}")
+        basis, peak = _finite_basis(h, N, basis)
         flat = basis.reshape(N, h * N)
-        peak = np.max(np.abs(flat))
-        if not np.isfinite(peak):
-            raise InvalidPresentationError("basis contains NaN or Inf")
         # The certificate, on F = flat scaled exactly by a power of 2 so that
         # G = fl(F F^H) cannot overflow and tr G stays far above underflow.
         # With u the unit roundoff and gamma_k = k u / (1 - k u):
@@ -167,15 +163,44 @@ class IVHSPresentation:
                 raise InvalidPresentationError(
                     "basis matrices are not numerically independent "
                     f"(sigma_min/sigma_max = {sv[-1] / max(sv[0], 1e-300):.2e})")
-        object.__setattr__(self, "h", int(h))
-        object.__setattr__(self, "N", int(N))
-        object.__setattr__(self, "basis", basis)
+        _fill(self, h, N, basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("IVHSPresentation is immutable")
 
     def flattened(self) -> np.ndarray:
         return self.basis.reshape(self.N, self.h * self.N)
+
+
+def _finite_basis(h: int, N: int, basis):
+    """The basis as a complex array of shape (N, h, N), and its largest
+    |entry|, which must be finite."""
+    if h < 1 or N < 1:
+        raise InvalidPresentationError(
+            f"a presentation needs h >= 1 and N >= 1, got {h} and {N}")
+    basis = np.asarray(basis, dtype=complex)
+    if basis.shape != (N, h, N):
+        raise InvalidPresentationError(
+            f"expected basis of shape {(N, h, N)}, got {basis.shape}")
+    peak = np.max(np.abs(basis))
+    if not np.isfinite(peak):
+        raise InvalidPresentationError("basis contains NaN or Inf")
+    return basis, peak
+
+
+def _fill(p: IVHSPresentation, h: int, N: int, basis: np.ndarray) -> None:
+    object.__setattr__(p, "h", int(h))
+    object.__setattr__(p, "N", int(N))
+    object.__setattr__(p, "basis", basis)
+
+
+def _presentation_by_construction(h: int, N: int, basis) -> IVHSPresentation:
+    """A presentation whose independence its builder has proved, as
+    ``synthesize`` does; shape and finiteness are still checked."""
+    basis, _ = _finite_basis(h, N, basis)
+    p = object.__new__(IVHSPresentation)
+    _fill(p, h, N, basis)
+    return p
 
 
 @dataclass(frozen=True)
@@ -207,7 +232,13 @@ def synthesize(s: WeierstrassSurface, seed: int, frame_seed=None):
     from a digest of the exact surface data, so that by default the spanned
     subspace depends only on the surface.  The scalar weights (magnitudes
     in [``LAMBDA_MIN``, ``LAMBDA_MAX``], random phases) and the hiding basis
-    change (condition number <= ``MIXER_COND_MAX``) are drawn from ``seed``.
+    change are drawn from ``seed``.  The change of basis is the mixer
+    Sigma V^H: one Haar unitary V with its rows scaled by singular values
+    graded from 1 to 1/cond, cond <= ``MIXER_COND_MAX``.  A left unitary
+    factor would change neither the spanned subspace nor the pencil that
+    extraction diagonalizes, so none is drawn.  The basis is independent by
+    construction, so the presentation is built without the constructor's
+    Gram certificate.
     """
     report = is_general(s)
     if not report:
@@ -230,12 +261,45 @@ def synthesize(s: WeierstrassSurface, seed: int, frame_seed=None):
     lambdas = mags * np.exp(2j * np.pi * rng.uniform(size=N))
     cond = np.exp(rng.uniform(0.0, np.log(MIXER_COND_MAX)))
     svals = np.exp(np.linspace(0.0, -np.log(cond), N))
-    mixer = (haar_unitary(rng, N) * svals) @ haar_unitary(rng, N).conj().T
+    mixer = svals[:, None] * haar_unitary(rng, N).conj().T
 
     # basis[j, i, a] = sum_k mixer[j, k] lambdas[k] X[i, k] y_frame[a, k]
     weighted = (mixer * lambdas)[:, None, :] * X
     basis = (weighted.reshape(N * h, N) @ y_frame.T).reshape(N, h, N)
-    presentation = IVHSPresentation(h=h, N=N, basis=basis)
+    # Independence by construction, in place of the constructor's
+    # certificate.  Flattened, the basis is B = (mixer Lambda) K^T, where K
+    # (hN x N) has the columns x_k (x) y_k.  With u the unit roundoff,
+    # gamma_k = k u / (1 - k u), and gamma~_k the same with a small constant
+    # c times k:
+    # - Khatri-Rao.  K^H K = (X^H X) o (Y^H Y), the entrywise product (Kolda
+    #   and Bader, SIAM Review 51, 2009, section 2.6).  With Y unitary and
+    #   unit columns x_k this is the identity, so B has exactly the singular
+    #   values of mixer Lambda, whose ratio sigma_min/sigma_max is at least
+    #   1 / (MIXER_COND_MAX LAMBDA_MAX / LAMBDA_MIN) = 1e-4.
+    # - The computed Y, V and x_k.  Householder QR gives Q + E with Q
+    #   unitary and ||E||_F <= sqrt(N) gamma~_(N^2) (Higham, Accuracy and
+    #   Stability of Numerical Algorithms, 2002, section 19.3), and the unit
+    #   phases add O(u) per column, so ||Y^H Y - I||_2 <= e = O(N^(5/2) u);
+    #   the mixer's singular values are svals within a factor 1 +- e as
+    #   well.  |x_k^H x_k - 1| <= gamma~_h.  K^H K - I is
+    #   (X^H X) o (Y^H Y - I) plus diag(|x_k|^2 - 1), and for positive
+    #   semidefinite X^H X Schur's bound ||A o F||_2 <= max_k a_kk ||F||_2
+    #   (Horn and Johnson, Topics in Matrix Analysis, 1991, Theorem 5.5.18)
+    #   gives ||K^H K - I||_2 <= eta = gamma~_h + (1 + gamma~_h) e.  So the
+    #   singular values of (mixer Lambda) K^T lie within a factor
+    #   [sqrt(1 - eta), sqrt(1 + eta)] of those of mixer Lambda.
+    # - The product.  Two complex products per entry of `weighted`, then an
+    #   inner product of length N: |fl(B) - B| <= gamma_(3N+6) |W| |Y^T|
+    #   entrywise, and ||W||_F = ||mixer Lambda||_F <= sqrt(N) sigma_max, so
+    #   ||fl(B) - B||_2 <= d sigma_max with d = N gamma_(3N+6).
+    # By Weyl's inequality the computed basis has sigma_min/sigma_max >=
+    # 1e-4 (1 - 2 eta - 1e4 d) to first order, that is
+    # 1e-4 (1 - O(N^(5/2) u)).  At N = 88, 1e4 d = 2.6e-8 and
+    # eta = 1.6e-11 c, so even c = 100 keeps the loss below 1e-7 relative:
+    # the ratio stays about six orders of magnitude above
+    # BASIS_INDEPENDENCE_TOL = 1e-10.  Measured, the singular values agree
+    # with those of mixer Lambda to about 1e-15.
+    presentation = _presentation_by_construction(h, N, basis)
     truth = GroundTruth(points=points, lambdas=lambdas,
                         y_frame=y_frame, mixer=mixer)
     return presentation, truth

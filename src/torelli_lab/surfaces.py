@@ -31,9 +31,11 @@ from .binforms import (
     ProjectivePointP1,
     forms_coprime,
     gcd_is_constant,
+    poly_add,
     poly_degree,
     poly_eval,
     poly_mul,
+    poly_scale,
     poly_strip,
     squarefree_decomposition,
     transvectant_first,
@@ -216,8 +218,12 @@ def _stored(s: WeierstrassSurface, slot: str, compute):
 
 
 def discriminant(s: WeierstrassSurface) -> BinaryForm:
-    """Delta = g4^3 - 27 g6^2, a form of degree 12*dL."""
-    delta = _stored(s, "_delta", lambda: s.g4 ** 3 - 27 * s.g6 ** 2)
+    """Delta = g4^3 - 27 g6^2, a form of degree 12*dL, computed on the
+    integer kernel as W is."""
+    g4, g6 = s.g4.coeffs, s.g6.coeffs
+    delta = _stored(s, "_delta", lambda: BinaryForm.from_affine(
+        poly_add(poly_mul(poly_mul(g4, g4), g4),
+                 poly_scale(poly_mul(g6, g6), -27)), 12 * s.dL))
     if delta.is_zero:
         raise DegenerateSurfaceError(
             "discriminant vanishes identically (isotrivial data): not an "

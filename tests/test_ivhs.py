@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from torelli_lab import binforms, surfaces
+from torelli_lab import binforms, ivhs, surfaces
 from torelli_lab.binforms import ProjectivePointP1
 from torelli_lab.errors import UsageError
 from torelli_lab.ivhs import (
@@ -26,6 +26,7 @@ from torelli_lab.ivhs import (
     synthesize,
     truth_to_json_dict,
 )
+from torelli_lab.recovery import StageError, roundtrip
 from torelli_lab.surfaces import make_random_general, make_with_I2
 
 
@@ -236,16 +237,16 @@ def test_independence_cut_sits_at_its_tolerance(ratio, accepted):
             IVHSPresentation(h=h, N=n, basis=basis)
 
 
-def _count_svd(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
+def _count_linalg(monkeypatch):
+    """Call counts of ``np.linalg``'s cholesky, svd and qr, by name."""
+    counts = dict.fromkeys(("cholesky", "svd", "qr"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name),
+                    **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
 
 
 @pytest.mark.parametrize("h", [3, 4, 5, 6, 7, 8])
@@ -253,22 +254,70 @@ def test_synthesized_presentations_are_certified_without_an_svd(
         monkeypatch, h):
     # the rows x_k (x) y_k are orthonormal, so sigma_min/sigma_max is at
     # least 1/(MIXER_COND_MAX * LAMBDA_MAX / LAMBDA_MIN) = 1e-4, far inside
-    # what the Cholesky certificate proves
+    # what the Cholesky certificate proves; synthesize's proof by
+    # construction needs that bound at least five orders above the cut
     assert MIXER_COND_MAX * LAMBDA_MAX / LAMBDA_MIN == pytest.approx(1e4)
+    assert (MIXER_COND_MAX * LAMBDA_MAX / LAMBDA_MIN
+            * BASIS_INDEPENDENCE_TOL) <= 1e-5
     pres, _ = synthesize(make_random_general(h, seed=h), seed=h)
-    calls = _count_svd(monkeypatch)
+    counts = _count_linalg(monkeypatch)
     IVHSPresentation(h=pres.h, N=pres.N, basis=pres.basis)
-    assert calls == []
+    assert counts["cholesky"] == 1 and counts["svd"] == 0
+
+
+def test_synthesize_proves_independence_without_a_factorization(monkeypatch):
+    # the Khatri-Rao identity proves the basis independent, so neither the
+    # Cholesky certificate nor an SVD runs; the frame and the mixer take
+    # one Haar QR each
+    s = make_random_general(5, seed=0)
+    counts = _count_linalg(monkeypatch)
+    synthesize(s, seed=0)
+    assert counts == {"cholesky": 0, "svd": 0, "qr": 2}
+
+
+def _drawn_svals(seed, n):
+    """The mixer's singular values, replayed from synthesize's draws: the
+    weights' magnitudes and phases, then the condition number."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(size=2 * n)
+    cond = np.exp(rng.uniform(0.0, np.log(MIXER_COND_MAX)))
+    return np.exp(np.linspace(0.0, -np.log(cond), n))
+
+
+@pytest.mark.parametrize("h", [3, 5, 8])
+def test_synthesized_basis_has_the_singular_values_of_the_weighted_mixer(h):
+    pres, truth = synthesize(make_random_general(h, seed=h), seed=h)
+    sv = np.linalg.svd(pres.flattened(), compute_uv=False)
+    weighted = np.linalg.svd(truth.mixer * truth.lambdas, compute_uv=False)
+    np.testing.assert_allclose(sv, weighted, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(
+        np.linalg.svd(truth.mixer, compute_uv=False),
+        _drawn_svals(h, pres.N), rtol=1e-14, atol=0.0)
+
+
+def test_presentation_file_is_certified_once(monkeypatch):
+    pres, _ = synthesize(make_random_general(3, seed=1), seed=1)
+    data = json.loads(json.dumps(presentation_to_json_dict(pres)))
+    counts = _count_linalg(monkeypatch)
+    presentation_from_json_dict(data)
+    assert counts["cholesky"] == 1
+
+
+def test_corrupted_span_is_certified_once(monkeypatch):
+    counts = _count_linalg(monkeypatch)
+    with pytest.raises(StageError):
+        roundtrip(make_random_general(3, seed=5), seed=5, corrupt_span=True)
+    assert counts["cholesky"] == 1
 
 
 @pytest.mark.parametrize("ratio", [0.5, 2.0])
 def test_independence_cut_is_decided_by_the_svd(monkeypatch, ratio):
-    calls = _count_svd(monkeypatch)
+    counts = _count_linalg(monkeypatch)
     try:
         test_independence_cut_sits_at_its_tolerance(ratio, ratio > 1.0)
     finally:
         monkeypatch.undo()
-    assert calls == [1]
+    assert counts["svd"] == 1
 
 
 LOG_RATIOS = [-1, -3, -5, -6, -7, -8, -9, -11, -12, -13]
@@ -307,10 +356,10 @@ def test_certificate_and_svd_give_one_verdict_at_benchmark_scale(
     # Cholesky margin c is largest; a comfortably independent basis is
     # still certified without an SVD
     test_certificate_and_svd_give_one_verdict(log_ratio, n, h)
-    calls = _count_svd(monkeypatch)
+    counts = _count_linalg(monkeypatch)
     if log_ratio >= -5:
         IVHSPresentation(h=h, N=n, basis=_graded_basis(log_ratio, n, h))
-        assert calls == []
+        assert counts["svd"] == 0
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(-np.inf, 1.0)])
@@ -319,6 +368,16 @@ def test_nonfinite_basis_is_invalid(entry):
     basis[2, 1, 3] = entry
     with pytest.raises(InvalidPresentationError, match="NaN or Inf"):
         IVHSPresentation(h=3, N=4, basis=basis)
+
+
+def test_presentation_by_construction_checks_shape_and_finiteness():
+    # synthesize's constructor skips only the independence certificate
+    basis = np.eye(4, dtype=complex).reshape(4, 1, 4).repeat(3, axis=1)
+    with pytest.raises(InvalidPresentationError, match="expected basis"):
+        ivhs._presentation_by_construction(3, 4, basis[:, :2])
+    basis[2, 1, 3] = np.nan
+    with pytest.raises(InvalidPresentationError, match="NaN or Inf"):
+        ivhs._presentation_by_construction(3, 4, basis)
 
 
 @pytest.mark.parametrize("scale", [1e-310, 1e-200, 1.0, 1e200, 1e300])

@@ -378,8 +378,8 @@ def test_roundtrip_h6():
     assert report.quadric_dim == expected_quadric_dimension(6) == 10
 
 
-ROUNDTRIP_DIGEST = "658083e61a805c791b6c5438c5810dae6b0a1ea1a6b5ea356830bc1fbdc84c5c"
-RECOVER_Z_DIGEST = "ca80a46493db558869f27907ab960c3b132d5790a3bbf5a7a283d4b4168da4e0"
+ROUNDTRIP_DIGEST = "ef421130c0be79c210dce169e227ceb517dfb1de29a7c7ee7f4b2090c45bef00"
+RECOVER_Z_DIGEST = "27a621ef46bb8fe6075d05c1a28039e880eb1a895de3ed094ebcf2d8b2413ee6"
 
 
 def _roundtrip_digest():
