@@ -10,11 +10,10 @@ live on ``_ExactCore``, the one exact core that ``plumbing.JetCoefficients``
 shares: integer numerators over one positive common denominator in lowest
 terms, with one equality, sum and rational scaling.  So the arithmetic runs
 on ints and ``Fraction`` appears only at the boundary: the constructor
-takes ints and Fractions (``from_numerators`` and ``linear_combination``
-take integer numerators over one denominator), and ``coefficient``,
-``terms`` and ``repr`` give Fractions back.  Every operation is pure and
-exact; floats and strings are rejected, and so is a key that is not an
-integer.
+takes ints and Fractions (``from_numerators`` takes integer numerators
+over one denominator), and ``coefficient``, ``terms`` and ``repr`` give
+Fractions back.  Every operation is pure and exact; floats and strings are
+rejected, and so is a key that is not an integer.
 """
 
 from __future__ import annotations
@@ -166,32 +165,6 @@ class JetSeries(_ExactCore):
             if not (isinstance(n0, int) and isinstance(n1, int)):
                 raise TypeError("JetSeries numerators are ints")
         return cls._reduced(num, _positive_int(den))
-
-    @classmethod
-    def linear_combination(cls, parts, den: int) -> "JetSeries":
-        """``sum (n / den) * q**k * series`` over ``(n, k, series)`` parts
-        with integer ``n`` and one integer ``den > 0``, accumulated in one
-        pass over one common denominator.
-
-        Zero numerators and zero series contribute nothing, and terms that
-        cancel are not stored.
-        """
-        # (numerator, series denominator, shift, numerators) of each part
-        ints = []
-        for n, k, series in parts:
-            if not isinstance(n, int):
-                raise TypeError("linear_combination takes integer numerators")
-            if n and series._num:
-                ints.append((n, series._den, k, series._num))
-        common = lcm(*[d for _, d, _, _ in ints])
-        acc = {}
-        for n, d, k, num in ints:
-            f = n * (common // d)
-            for e, (n0, n1) in num.items():
-                e += k
-                a0, a1 = acc.get(e, (0, 0))
-                acc[e] = (a0 + f * n0, a1 + f * n1)
-        return cls._reduced(acc, _positive_int(den) * common)
 
     # ---- inspection ----------------------------------------------------
 

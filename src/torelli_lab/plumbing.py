@@ -23,9 +23,12 @@ Every series in the chain is a finite Laurent polynomial in q: modulo t^2
 the branch is exactly v = q - (t/2) q^{-1}, so the chain is exact
 Laurent-polynomial arithmetic and nothing but t^2 is truncated.  The
 factors that do not depend on the jet, the prefactor and the powers
-v^(n-1), are built once per jet order and shared.  Each jet's chain sums
-its terms in one pass and takes one product with the prefactor; every
-identity is checked on chains of its own, never derived from another chain.
+v^(n-1), are built once per jet order and shared, together with the integer
+layout read off them: the numerators of every v^(n-1) over one common
+denominator, and the prefactor's numerators.  Each jet's chain sums its
+terms over that layout in one pass and takes one product with the
+prefactor, split into its t^0 and t^1 parts as it is formed; every identity
+is checked on chains of its own, never derived from another chain.
 
 Jet coefficients live on the exact core of ``jets``, keyed by ``(m, n)``,
 and the chain and the closed forms read that layout directly, so all of
@@ -42,6 +45,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import UsageError
 from .jets import JetSeries, _ExactCore, _rat
@@ -51,6 +55,13 @@ MAX_ORDER_DEFAULT = 6
 
 class JetOrderError(UsageError):
     """Jet coefficients outside the supported total order."""
+
+
+def _jet_order(max_order) -> int:
+    max_order = operator.index(max_order)
+    if max_order < 0:
+        raise JetOrderError(f"max_order must be non-negative, got {max_order}")
+    return max_order
 
 
 class JetCoefficients(_ExactCore):
@@ -66,10 +77,7 @@ class JetCoefficients(_ExactCore):
     __slots__ = ("max_order",)
 
     def __init__(self, b, max_order: int = MAX_ORDER_DEFAULT):
-        max_order = operator.index(max_order)
-        if max_order < 0:
-            raise JetOrderError(
-                f"max_order must be non-negative, got {max_order}")
+        max_order = _jet_order(max_order)
         pairs = {}
         for (m, n), value in dict(b).items():
             m, n = operator.index(m), operator.index(n)
@@ -100,14 +108,26 @@ class JetCoefficients(_ExactCore):
         return sorted(self.b.items())
 
 
+def _numerators(series: JetSeries, f: int = 1):
+    """The nonzero t^0 and t^1 numerators of ``series`` times ``f``, as two
+    tuples of ``(exponent, numerator)``."""
+    return tuple(tuple((e, f * pair[t]) for e, pair in series._num.items()
+                       if pair[t]) for t in (0, 1))
+
+
 @functools.cache
 def _chain_factors(max_order: int):
-    """The jet-independent factors of the chain: the prefactor
-    -1/2 (q + v) and the tuple of v^(n-1) for n = 0..max_order.
+    """The jet-independent factors of the chain and the integer layout
+    read off them: ``(prefactor, v_pows, rows, pre, den)``.
 
-    v = q*(1 - t q^{-2})^{1/2} comes from the branch substitution, v^(n-1)
-    by repeated exact multiplication (and the unit inverse at n = 0).
-    JetSeries is immutable, so every chain of this order shares them.
+    ``prefactor`` is the series -1/2 (q + v) and ``v_pows`` the tuple of
+    v^(n-1) for n = 0..max_order, with v = q*(1 - t q^{-2})^{1/2} from the
+    branch substitution, v^(n-1) by repeated exact multiplication (and the
+    unit inverse at n = 0).  ``rows[n]`` holds the numerators of v^(n-1)
+    over the lcm of the denominators of all v^(n-1), ``pre`` those of the
+    prefactor over its own denominator, each as ``_numerators`` gives them,
+    and ``den`` is the product of the two denominators.  Everything is
+    immutable, so every chain of this order shares it.
     """
     q = JetSeries.monomial(1, c0=1)
     u = JetSeries.monomial(-2, c1=1)
@@ -116,23 +136,46 @@ def _chain_factors(max_order: int):
     v_pows = [v.invert_unit(), JetSeries.one()]
     while len(v_pows) <= max_order:
         v_pows.append(v_pows[-1].mul(v))
-    return prefactor, tuple(v_pows)
+    den = lcm(*(p._den for p in v_pows))
+    rows = tuple(_numerators(p, den // p._den) for p in v_pows)
+    return (prefactor, tuple(v_pows), rows, _numerators(prefactor),
+            den * prefactor._den)
+
+
+def _add_products(acc: dict, xs, ys):
+    """Add the product of the terms ``xs`` and ``ys``, each an iterable of
+    ``(exponent, numerator)``, into the numerators ``acc``."""
+    for e, x in xs:
+        for f, y in ys:
+            acc[e + f] = acc.get(e + f, 0) + x * y
 
 
 def residue_pair(b: JetCoefficients):
     """(omega, eta): the t^0 and t^1 parts of the residue chain.
 
-    The chain is computed structurally: sum b[m,n] q^m v^(n-1) is
-    accumulated in one pass over the factors v^(n-1) of the branch
-    substitution, then multiplied by the prefactor -1/2 (q + v).  No use
-    is made of the closed forms, so comparing against them is a two-sided
-    check.
+    The chain is computed structurally on the layout of ``_chain_factors``:
+    sum b[m,n] q^m v^(n-1) is accumulated in one pass as integer t^0 and
+    t^1 numerators over one denominator, then multiplied by the prefactor
+    -1/2 (q + v) with the t^0 part (omega) and the t^1 part (eta) of the
+    product kept apart as it is formed.  No use is made of the closed
+    forms, so comparing against them is a two-sided check.
     """
-    prefactor, v_pows = _chain_factors(b.max_order)
-    total = JetSeries.linear_combination(
-        ((k, m, v_pows[n]) for (m, n), (k, _) in b._num.items()), b._den)
-    result = prefactor.mul(total)
-    return result.t_component(0), result.t_component(1)
+    _, _, rows, (pre0, pre1), den = _chain_factors(b.max_order)
+    s0, s1 = {}, {}
+    for (m, n), (k, _) in b._num.items():
+        row0, row1 = rows[n]
+        for e, c in row0:
+            s0[e + m] = s0.get(e + m, 0) + k * c
+        for e, c in row1:
+            s1[e + m] = s1.get(e + m, 0) + k * c
+    # (s0 + t s1)(pre0 + t pre1) = s0 pre0 + t (s0 pre1 + s1 pre0) mod t^2
+    omega, eta = {}, {}
+    _add_products(omega, s0.items(), pre0)
+    _add_products(eta, s0.items(), pre1)
+    _add_products(eta, s1.items(), pre0)
+    den *= b._den
+    return tuple(JetSeries._reduced({e: (c, 0) for e, c in part.items()}, den)
+                 for part in (omega, eta))
 
 
 def closed_form_pair(b: JetCoefficients):
@@ -197,6 +240,19 @@ class ProportionalityCheck:
         return self.ok
 
 
+def _first_cross_mismatch(x: Fraction, s: JetSeries, y: Fraction,
+                          t: JetSeries):
+    """``_first_mismatch(s.scale(x), t.scale(y))`` without building either
+    series: the t^0 numerators compared cross-multiplied over the product
+    of all four denominators."""
+    a = x.numerator * y.denominator * t._den
+    c = y.numerator * x.denominator * s._den
+    sn, tn = s._num, t._num
+    return min((e for e in sn.keys() | tn.keys()
+                if a * sn.get(e, (0, 0))[0] != c * tn.get(e, (0, 0))[0]),
+               default=None)
+
+
 def check_eta_proportionality(b_list) -> ProportionalityCheck:
     """For jet data that are scalar multiples of a common set, the eta
     series must satisfy the cross-proportionality
@@ -204,16 +260,15 @@ def check_eta_proportionality(b_list) -> ProportionalityCheck:
         omega_i(a) * eta_j == omega_j(a) * eta_i   (exactly),
 
     with omega_j(a) = -b_j[0,0]; this is the rank-1 shape of the derivative
-    restated at series level.  Cross-multiplied form avoids division and
-    handles zero members.
+    restated at series level.  Cross-multiplied integer numerators avoid
+    division, handle zero members and build no scaled series; each eta is
+    the chain of its own member.
     """
     etas = [residue_pair(b)[1] for b in b_list]
     ratios = tuple(-b[(0, 0)] for b in b_list)
     for i in range(len(b_list)):
         for j in range(i + 1, len(b_list)):
-            lhs = etas[j].scale(ratios[i])
-            rhs = etas[i].scale(ratios[j])
-            bad = _first_mismatch(lhs, rhs)
+            bad = _first_cross_mismatch(ratios[i], etas[j], ratios[j], etas[i])
             if bad is not None:
                 return ProportionalityCheck(ok=False, ratios=ratios,
                                             first_mismatch=(i, j, bad))
@@ -226,12 +281,17 @@ def check_eta_proportionality(b_list) -> ProportionalityCheck:
 
 def random_jet_coefficients(rng: random.Random, max_order: int = MAX_ORDER_DEFAULT,
                             bound: int = 9) -> JetCoefficients:
-    """Dense random jets with integer entries in [-bound, bound]."""
-    b = {}
-    for m in range(max_order + 1):
-        for n in range(max_order + 1 - m):
-            b[(m, n)] = rng.randint(-bound, bound)
-    return JetCoefficients(b, max_order)
+    """Dense random jets with integer entries in [-bound, bound], drawn in
+    the order of (m, n) by ``rng.randrange(-bound, bound + 1)``, the draw
+    that ``rng.randint(-bound, bound)`` makes, and put on the exact core
+    over the denominator 1 without the constructor's checks."""
+    max_order = _jet_order(max_order)
+    draw = rng.randrange
+    num = {(m, n): (draw(-bound, bound + 1), 0)
+           for m in range(max_order + 1) for n in range(max_order + 1 - m)}
+    out = JetCoefficients._reduced(num, 1)
+    object.__setattr__(out, "max_order", max_order)
+    return out
 
 
 def verification_report(trials: int = 200, max_order: int = MAX_ORDER_DEFAULT,

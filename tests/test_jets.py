@@ -1,13 +1,15 @@
 """Exact Laurent-polynomial arithmetic: ring axioms, the square-root law,
-and the integer representation against a ``Fraction``-dict oracle."""
+and the integer representation, and the residue chain built on it, against
+a ``Fraction``-dict oracle."""
 
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
 from torelli_lab.jets import JetSeries
+from torelli_lab.plumbing import (JetCoefficients, random_jet_coefficients,
+                                  residue_pair)
 
 ZERO = JetSeries({})
 
@@ -151,8 +153,6 @@ def test_from_numerators_is_the_constructor_on_integers():
     for den in (0, -2):
         with pytest.raises(ValueError):
             JetSeries.from_numerators({0: (1, 0)}, den)
-        with pytest.raises(ValueError):
-            JetSeries.linear_combination([(1, 0, JetSeries.one())], den)
 
 
 def test_boundary_values_are_fractions():
@@ -176,8 +176,6 @@ def test_float_and_complex_inputs_raise_type_error():
             one.scale(bad)
     for bad in ((0.5, 1), (Fraction(1, 2), 1), (1, 2.0)):
         n, den = bad
-        with pytest.raises(TypeError):
-            JetSeries.linear_combination([(n, 0, one)], den)
         with pytest.raises(TypeError):
             JetSeries.from_numerators({0: (n, 0)}, den)
     with pytest.raises(TypeError):
@@ -357,24 +355,44 @@ def test_ring_operations_match_the_fraction_oracle(spread):
             _assert_matches(a.t_component(t), a_old.t_component(t))
 
 
-@pytest.mark.parametrize("spread", SPREADS, ids=lambda w: f"{w[0]}_{w[1]}")
-def test_linear_combination_matches_the_fraction_oracle(spread):
-    rng = random.Random(spread[0])
-    for _ in range(100):
-        coeffs, shifts, news, olds = [], [], [], []
-        for _ in range(rng.randint(0, 6)):
-            new, old = _random_pair(rng, spread)
-            coeffs.append(rng.choice(SCALARS + [Fraction(rng.randint(-9, 9),
-                                                         rng.randint(1, 12))]))
-            shifts.append(rng.randint(-4, 4))
-            news.append(new)
-            olds.append(old)
-        # the integer path takes the coefficients over one common denominator
-        den = lcm(*(Fraction(c).denominator for c in coeffs))
-        nums = [int(c * den) for c in coeffs]
-        _assert_matches(
-            JetSeries.linear_combination(zip(nums, shifts, news), den),
-            FractionJetSeries.linear_combination(zip(coeffs, shifts, olds)))
+def _fraction_residue_pair(b):
+    """The residue chain on the Fraction oracle: every factor built in
+    Fraction arithmetic, sum b[m,n] q^m v^(n-1) as one linear combination,
+    then one product with -1/2 (q + v) and the split into t^0 and t^1."""
+    q = FractionJetSeries({1: 1})
+    v = q.mul(FractionJetSeries({-2: (0, 1)}).sqrt_one_minus())
+    prefactor = (q + v).scale(Fraction(-1, 2))
+    v_pows = [v.invert_unit(), FractionJetSeries({0: 1})]
+    while len(v_pows) <= b.max_order:
+        v_pows.append(v_pows[-1].mul(v))
+    total = FractionJetSeries.linear_combination(
+        (c, m, v_pows[n]) for (m, n), c in b.items())
+    result = prefactor.mul(total)
+    return result.t_component(0), result.t_component(1)
+
+
+@pytest.mark.parametrize("max_order", [0, 3, 6, 12])
+def test_residue_chain_matches_the_fraction_oracle(max_order):
+    """The chain's one pass over the integer layout, its fused product and
+    its split reproduce the Fraction chain exactly: on the zero jet, every
+    monomial jet, dense integer jets, their rational multiples and sparse
+    rational jets with some entries zero."""
+    rng = random.Random(max_order)
+    jets = [JetCoefficients({}, max_order)]
+    jets += [JetCoefficients({(m, n): 1}, max_order)
+             for m in range(max_order + 1) for n in range(max_order + 1 - m)]
+    for _ in range(40):
+        dense = random_jet_coefficients(rng, max_order)
+        c = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        sparse = {}
+        for _ in range(rng.randint(1, 6)):
+            m = rng.randint(0, max_order)
+            sparse[(m, rng.randint(0, max_order - m))] = rng.choice(
+                [0, Fraction(rng.randint(-12, 12), rng.randint(1, 12))])
+        jets += [dense, dense.scale(c), JetCoefficients(sparse, max_order)]
+    for b in jets:
+        for new, old in zip(residue_pair(b), _fraction_residue_pair(b)):
+            _assert_matches(new, old)
 
 
 @pytest.mark.parametrize("spread", SPREADS, ids=lambda w: f"{w[0]}_{w[1]}")

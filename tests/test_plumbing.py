@@ -114,6 +114,61 @@ def test_eta_proportionality_detects_unrelated_data():
     check = check_eta_proportionality([b1, b2])
     assert not check.ok
     assert check.first_mismatch is not None
+    assert check == _scaled_series_proportionality([b1, b2])
+
+
+def _scaled_series_proportionality(b_list):
+    """The proportionality check as first written: both sides of every
+    pair built as scaled series and compared.  The oracle the
+    cross-multiplied numerators must reproduce."""
+    etas = [residue_pair(b)[1] for b in b_list]
+    ratios = tuple(-b[(0, 0)] for b in b_list)
+    for i in range(len(b_list)):
+        for j in range(i + 1, len(b_list)):
+            bad = plumbing._first_mismatch(etas[j].scale(ratios[i]),
+                                           etas[i].scale(ratios[j]))
+            if bad is not None:
+                return plumbing.ProportionalityCheck(
+                    ok=False, ratios=ratios, first_mismatch=(i, j, bad))
+    return plumbing.ProportionalityCheck(ok=True, ratios=ratios)
+
+
+def test_cross_multiplied_proportionality_matches_the_scaled_series():
+    rng = random.Random(37)
+    base = random_jet_coefficients(rng)
+    no_b00 = base + JetCoefficients({(0, 0): -base[(0, 0)]})
+    assert no_b00[(0, 0)] == 0 and no_b00.b
+    # the top entry moves eta at q^4 alone, the highest exponent of order 6
+    top = base + JetCoefficients({(2, 4): 1})
+    cases = {
+        "zero_b00": [no_b00.scale(c) for c in (1, Fraction(-2, 3), 0, 5)],
+        "zero_member": [base, base.scale(0), base.scale(Fraction(7, 2))],
+        "all_zero": [JetCoefficients({}), base.scale(0), JetCoefficients({})],
+        "top_exponent": [base.scale(2), top.scale(2)],
+        "top_exponent_scaled": [base, base.scale(3), top.scale(Fraction(-1, 4))],
+        "unrelated_zero_b00": [no_b00, random_jet_coefficients(rng)],
+    }
+    verdicts = {}
+    for name, family in cases.items():
+        check = check_eta_proportionality(family)
+        assert check == _scaled_series_proportionality(family), name
+        verdicts[name] = check.first_mismatch
+    assert verdicts == {"zero_b00": None, "zero_member": None,
+                        "all_zero": None, "top_exponent": (0, 1, 4),
+                        "top_exponent_scaled": (0, 2, 4),
+                        "unrelated_zero_b00": verdicts["unrelated_zero_b00"]}
+    assert verdicts["unrelated_zero_b00"] is not None
+    # random families of mixed orders, some of them proportional
+    for _ in range(200):
+        order = rng.choice((0, 1, 3, 6))
+        b = random_jet_coefficients(rng, order, bound=rng.choice((1, 9)))
+        family = [b.scale(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+                  for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            family.insert(rng.randrange(len(family) + 1),
+                          random_jet_coefficients(rng, order))
+        check = check_eta_proportionality(family)
+        assert check == _scaled_series_proportionality(family)
 
 
 def test_first_mismatch_is_the_lowest_differing_t0_exponent():
@@ -125,6 +180,27 @@ def test_first_mismatch_is_the_lowest_differing_t0_exponent():
     # t^1 parts do not count
     assert plumbing._first_mismatch(JetSeries({0: (1, 2)}),
                                     JetSeries({0: (1, 3)})) is None
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 6, 12])
+@pytest.mark.parametrize("bound", [0, 1, 9])
+def test_random_jets_are_the_constructor_on_the_randint_draws(max_order,
+                                                              bound):
+    """The jets built on the exact core equal the constructor's on the same
+    draws, and leave the stream where ``randint`` leaves it: the report's
+    scalars come from that stream."""
+    rng, old_rng = random.Random(max_order + bound), random.Random(max_order + bound)
+    for _ in range(3):
+        b = random_jet_coefficients(rng, max_order, bound)
+        old = JetCoefficients({(m, n): old_rng.randint(-bound, bound)
+                               for m in range(max_order + 1)
+                               for n in range(max_order + 1 - m)}, max_order)
+        assert type(b) is JetCoefficients
+        assert (b._num, b._den, b.max_order) == \
+            (old._num, old._den, old.max_order)
+        assert rng.getstate() == old_rng.getstate()
+    with pytest.raises(JetOrderError):
+        random_jet_coefficients(rng, -1)
 
 
 def test_jet_coefficient_validation():
@@ -390,11 +466,47 @@ def test_chains_share_and_keep_the_factors(fresh_chain_factors):
     first = residue_pair(b)
     factors = plumbing._chain_factors(b.max_order)
     before = [series.terms() for series in (factors[0], *factors[1])]
+    layout = factors[2:]
     assert residue_pair(b) == first
     assert residue_pair(b.scale(3)) == tuple(s.scale(3) for s in first)
     assert plumbing._chain_factors(b.max_order) is factors
     assert [series.terms() for series in (factors[0], *factors[1])] == before
+    assert factors[2:] == layout
     assert plumbing._chain_factors.cache_info().misses == 1
+
+
+def _series_of(numerators, den):
+    t0, t1 = ({e: c for e, c in part} for part in numerators)
+    return JetSeries.from_numerators(
+        {e: (t0.get(e, 0), t1.get(e, 0)) for e in t0.keys() | t1.keys()}, den)
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 6, 12])
+def test_the_layout_is_read_off_the_factor_series(max_order,
+                                                  fresh_chain_factors):
+    prefactor, v_pows, rows, pre, den = plumbing._chain_factors(max_order)
+    assert len(v_pows) == len(rows) == max(max_order + 1, 2)
+    v_den = den // prefactor._den
+    assert [_series_of(row, v_den) for row in rows] == list(v_pows)
+    assert _series_of(pre, prefactor._den) == prefactor
+    # v^(n-1) = q^(n-1) - ((n-1)/2) t q^(n-3), so the common denominator is 2
+    assert v_den == 2 and rows[1] == (((0, 2),), ())
+    plumbing._chain_factors.cache_clear()
+    assert plumbing._chain_factors(max_order)[2:] == (rows, pre, den)
+    assert plumbing._chain_factors.cache_info().misses == 1
+
+
+def test_report_fails_on_a_changed_layout_numerator(monkeypatch):
+    """The chain reads the cached layout: one numerator of v^1 off by one,
+    with the factor series left as they are, fails every closed form."""
+    prefactor, v_pows, rows, pre, den = plumbing._chain_factors(6)
+    (e, c), = rows[2][0]
+    changed = rows[:2] + ((((e, c + 1),), rows[2][1]),) + rows[3:]
+    monkeypatch.setattr(plumbing, "_chain_factors",
+                        lambda order: (prefactor, v_pows, changed, pre, den))
+    report = verification_report(trials=2, seed=0)
+    assert report["status"] == "failed"
+    assert report["identities"]["closed_forms"]["failures"] == 2
 
 
 # ---------------------------------------------------------------------------

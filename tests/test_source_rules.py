@@ -6,8 +6,9 @@ setting arrives through a function argument or a command-line flag.  Every
 name the benchmark's tracer rebinds and every exported name exists, so a
 deletion cannot break ``perfbench`` or ``from torelli_lab import *``.  No
 true division in the exact layer of ``binforms``, in the exact core of
-``jets`` and ``jets.JetSeries``, or in ``plumbing.JetCoefficients`` and the
-chain and closed forms built from it: their coefficients and numerators
+``jets`` and ``jets.JetSeries``, or in ``plumbing.JetCoefficients``, the
+random jets, and the chain, its layout, the closed forms and the
+proportionality check built from them: their coefficients and numerators
 are ints, and ``int / int`` is a float.  No numpy in that exact layer
 either: its decisions stay on CPython ints.  Every source file is ASCII.  No module imports scipy when it loads:
 scipy costs most of the package's start-up, and only the assignment
@@ -98,8 +99,10 @@ def test_no_numpy_in_the_exact_layer():
 def test_no_true_division_in_jet_series():
     # every method of the classes, none exempt
     assert _true_divisions(JETS, {"_ExactCore", "JetSeries"}) == []
-    assert _true_divisions(PLUMBING, {"JetCoefficients", "residue_pair",
-                                      "closed_form_pair"}) == []
+    assert _true_divisions(PLUMBING, {
+        "JetCoefficients", "_chain_factors", "_numerators", "_add_products",
+        "residue_pair", "closed_form_pair", "_first_cross_mismatch",
+        "random_jet_coefficients"}) == []
 
 
 def test_traced_and_exported_names_resolve():
