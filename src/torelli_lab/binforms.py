@@ -250,44 +250,37 @@ def squarefree_decomposition(a):
 # numerical root finding
 # ---------------------------------------------------------------------------
 
-def _polyval_vec(coeffs, z):
-    acc = np.zeros_like(z)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def _roots_dense(factor):
     """All n affine roots of an integer polynomial, given by its ascending
     coefficients, with a nonzero leading entry.
 
     The coefficients are divided by 2^k, k > 0 only above 2^1000, then
-    scaled to unit max-norm in float64.  The eigenvalues of their real
-    companion matrix (numpy.roots, real QR) are backward stable for them
-    (Edelman & Murakami, Math. Comp. 64, 1995).  Real QR returns complex
-    roots in exact conjugate pairs and real roots with imaginary part 0.0,
-    and the Newton step keeps that symmetry; it polishes each root, kept
-    only where it lowers |p|.  A failed companion solve, a missing root, or
-    a root off the bound |p(z)| <= BACKWARD_ERROR_TOL * max(1, |z|)^n
-    raises TorelliLabError.
+    scaled to unit max-norm in float64, highest degree first.  The
+    eigenvalues of their real companion matrix (numpy.roots, real QR) are
+    backward stable for them (Edelman & Murakami, Math. Comp. 64, 1995).
+    Real QR returns complex roots in exact conjugate pairs and real roots
+    with imaginary part 0.0, and the Newton step (numpy.polyval) keeps that
+    symmetry; it polishes each root, kept only where it lowers |p|.  A
+    failed companion solve, a missing root, or a root off the bound
+    |p(z)| <= BACKWARD_ERROR_TOL * max(1, |z|)^n raises TorelliLabError.
     """
     n = len(factor) - 1
     if n <= 0:
         return np.empty(0, dtype=complex)
     scale = 1 << max(0, max(abs(c) for c in factor).bit_length() - 1000)
-    c = np.array([x / scale for x in factor], dtype=float)
+    c = np.array([x / scale for x in factor[::-1]], dtype=float)
     c = c / np.max(np.abs(c))
     with np.errstate(all="ignore"):
         try:
-            z = np.asarray(np.roots(c[::-1]), dtype=complex)
+            z = np.asarray(np.roots(c), dtype=complex)
         except np.linalg.LinAlgError as exc:
             raise TorelliLabError(f"root finding failed: {exc}") from exc
         if len(z) != n:
             raise TorelliLabError(
                 f"root finding returned {len(z)} of {n} roots")
-        p = _polyval_vec(c, z)
-        newton = z - p / _polyval_vec(c[1:] * np.arange(1, n + 1), z)
-        p_newton = _polyval_vec(c, newton)
+        p = np.polyval(c, z)
+        newton = z - p / np.polyval(np.polyder(c), z)
+        p_newton = np.polyval(c, newton)
         better = np.abs(p_newton) < np.abs(p)
         z = np.where(better, newton, z)
         p = np.where(better, p_newton, p)

@@ -38,7 +38,7 @@ def _stamp(data: dict) -> dict:
 
 
 def _check_seed(value, flag: str) -> None:
-    """numpy's generators take non-negative seeds only."""
+    """numpy rejects a negative seed, and random.Random(-s) aliases s."""
     if value is not None and value < 0:
         raise UsageError(f"{flag} must be a non-negative integer, got {value}")
 
@@ -55,6 +55,7 @@ def _parse_points(text: str):
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    _check_seed(args.seed, "--seed")
     if args.i2:
         points = _parse_points(args.i2)
         surface = surfaces.make_with_I2(args.h, points, args.seed)
@@ -160,6 +161,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_plumb_verify(args) -> int:
+    _check_seed(args.seed, "--seed")
     report = plumbing.verification_report(
         trials=args.trials, max_order=args.order, seed=args.seed)
     _emit(_stamp(report), args.output)

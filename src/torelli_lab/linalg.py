@@ -74,13 +74,13 @@ class EigenConvergenceError(TorelliLabError):
     """Eigeniteration did not converge."""
 
 
-def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
+def as_cmatrix(a) -> np.ndarray:
     """Validate and coerce to a finite dense complex 2-D array."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
+        raise ValueError(f"matrix must be 2-dimensional, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
+        raise ValueError("matrix contains NaN or Inf entries")
     return m
 
 

@@ -23,12 +23,13 @@ Every series in the chain is a finite Laurent polynomial in q: modulo t^2
 the branch is exactly v = q - (t/2) q^{-1}, so the chain is exact
 Laurent-polynomial arithmetic and nothing but t^2 is truncated.  The
 factors that do not depend on the jet, the prefactor and the powers
-v^(n-1), are built once per jet order and shared, together with the integer
-layout read off them: the numerators of every v^(n-1) over one common
+v^(n-1), are built once per jet order, and only the integer layout read off
+them is kept and shared: the numerators of every v^(n-1) over one common
 denominator, and the prefactor's numerators.  Each jet's chain sums its
 terms over that layout in one pass and takes one product with the
 prefactor, split into its t^0 and t^1 parts as it is formed; every identity
-is checked on chains of its own, never derived from another chain.
+is checked on chains of its own, never derived from another chain, and
+every check finds its first mismatch by cross-multiplied t^0 numerators.
 
 Jet coefficients live on the exact core of ``jets``, keyed by ``(m, n)``,
 and the chain and the closed forms read that layout directly, so all of
@@ -117,17 +118,13 @@ def _numerators(series: JetSeries, f: int = 1):
 
 @functools.cache
 def _chain_factors(max_order: int):
-    """The jet-independent factors of the chain and the integer layout
-    read off them: ``(prefactor, v_pows, rows, pre, den)``.
-
-    ``prefactor`` is the series -1/2 (q + v) and ``v_pows`` the tuple of
-    v^(n-1) for n = 0..max_order, with v = q*(1 - t q^{-2})^{1/2} from the
-    branch substitution, v^(n-1) by repeated exact multiplication (and the
-    unit inverse at n = 0).  ``rows[n]`` holds the numerators of v^(n-1)
-    over the lcm of the denominators of all v^(n-1), ``pre`` those of the
-    prefactor over its own denominator, each as ``_numerators`` gives them,
-    and ``den`` is the product of the two denominators.  Everything is
-    immutable, so every chain of this order shares it.
+    """``(rows, pre, den)``, the integer layout of the chain's factors
+    -1/2 (q + v) and v^(n-1), n = 0..max_order, with v = q*(1 - t q^{-2})^{1/2}
+    (v^(n-1) by exact multiplication, the unit inverse at n = 0), which are
+    not kept.  ``rows[n]`` holds the numerators of v^(n-1) over the lcm of
+    the denominators of all v^(n-1) and ``pre`` the prefactor's over its
+    own, as ``_numerators`` gives them; ``den`` is the product of the two
+    denominators.  Everything is immutable and shared by the order's chains.
     """
     q = JetSeries.monomial(1, c0=1)
     u = JetSeries.monomial(-2, c1=1)
@@ -138,8 +135,7 @@ def _chain_factors(max_order: int):
         v_pows.append(v_pows[-1].mul(v))
     den = lcm(*(p._den for p in v_pows))
     rows = tuple(_numerators(p, den // p._den) for p in v_pows)
-    return (prefactor, tuple(v_pows), rows, _numerators(prefactor),
-            den * prefactor._den)
+    return rows, _numerators(prefactor), den * prefactor._den
 
 
 def _add_products(acc: dict, xs, ys):
@@ -160,7 +156,7 @@ def residue_pair(b: JetCoefficients):
     product kept apart as it is formed.  No use is made of the closed
     forms, so comparing against them is a two-sided check.
     """
-    _, _, rows, (pre0, pre1), den = _chain_factors(b.max_order)
+    rows, (pre0, pre1), den = _chain_factors(b.max_order)
     s0, s1 = {}, {}
     for (m, n), (k, _) in b._num.items():
         row0, row1 = rows[n]
@@ -187,9 +183,8 @@ def closed_form_pair(b: JetCoefficients):
         e = m + n
         omega[e] = omega.get(e, 0) - k
         eta[e - 2] = eta.get(e - 2, 0) + (2 * n - 1) * k
-    return tuple(
-        JetSeries.from_numerators({e: (k, 0) for e, k in num.items()}, den)
-        for num, den in ((omega, b._den), (eta, 4 * b._den)))
+    return tuple(JetSeries._reduced({e: (k, 0) for e, k in num.items()}, den)
+                 for num, den in ((omega, b._den), (eta, 4 * b._den)))
 
 
 @dataclass(frozen=True)
@@ -201,24 +196,13 @@ class ClosedFormCheck:
         return self.ok
 
 
-def _first_mismatch(lhs: JetSeries, rhs: JetSeries):
-    """Lowest exponent whose t^0 coefficients differ, or None.
-
-    The passing case builds no ``Fraction``: series in canonical form are
-    equal exactly when their numerators and denominators are, and otherwise
-    the answer is the lowest exponent of the difference's t^0 part."""
-    if lhs == rhs:
-        return None
-    diff = (lhs - rhs).t_component(0)
-    return None if diff.is_zero else diff.terms()[0][0]
-
-
 def _compare_closed_forms(b: JetCoefficients, omega: JetSeries,
                           eta: JetSeries) -> ClosedFormCheck:
     """Compare the chain's (omega, eta) for ``b`` with the closed forms."""
     omega_cf, eta_cf = closed_form_pair(b)
     for name, lhs, rhs in (("omega", omega, omega_cf), ("eta", eta, eta_cf)):
-        e = _first_mismatch(lhs, rhs)
+        # canonical forms are equal as numerators: a pass builds no Fraction
+        e = None if lhs == rhs else _first_cross_mismatch(1, lhs, 1, rhs)
         if e is not None:
             return ClosedFormCheck(ok=False, first_mismatch=(
                 name, e, lhs.coefficient(e, 0), rhs.coefficient(e, 0)))
@@ -242,9 +226,10 @@ class ProportionalityCheck:
 
 def _first_cross_mismatch(x: Fraction, s: JetSeries, y: Fraction,
                           t: JetSeries):
-    """``_first_mismatch(s.scale(x), t.scale(y))`` without building either
-    series: the t^0 numerators compared cross-multiplied over the product
-    of all four denominators."""
+    """The lowest exponent whose t^0 coefficients of x*s and y*t differ,
+    or None, without building either series: the t^0 numerators compared
+    cross-multiplied over the product of all four denominators.  The t^1
+    parts do not count."""
     a = x.numerator * y.denominator * t._den
     c = y.numerator * x.denominator * s._den
     sn, tn = s._num, t._num

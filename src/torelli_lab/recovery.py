@@ -416,9 +416,8 @@ def match_points(recovered: np.ndarray, truth: np.ndarray) -> MatchReport:
     taken as they are when every row's largest |<x, y>|^2 beats its
     runner-up by more than the rounding bound below, which proves the pick
     is also the row's minimum of the computed distances; only then are the
-    N matched distances all that is computed.  Otherwise the distances of
-    all pairs are broadcast, and when their row minima collide, or a
-    distance is NaN, scipy solves the assignment.  Both sets must have the
+    N matched distances all that is computed.  Otherwise scipy solves the
+    assignment on the distances of all pairs.  Both sets must have the
     same shape."""
     if recovered.shape != truth.shape:
         raise UsageError(
@@ -446,12 +445,10 @@ def match_points(recovered: np.ndarray, truth: np.ndarray) -> MatchReport:
         matched = np.linalg.norm(tru[cols] - inner[rows, cols, None] * rec,
                                  axis=1)
     else:
+        from scipy.optimize import linear_sum_assignment
         dist = np.linalg.norm(
             tru[None, :, :] - inner[:, :, None] * rec[:, None, :], axis=2)
-        cols = dist.argmin(axis=1)
-        if np.unique(cols).size < n or np.isnan(dist).any():
-            from scipy.optimize import linear_sum_assignment
-            rows, cols = linear_sum_assignment(dist)
+        rows, cols = linear_sum_assignment(dist)
         matched = dist[rows, cols]
     order = np.empty(n, dtype=int)
     order[rows] = cols

@@ -322,6 +322,8 @@ USAGE_ERRORS = [
     ["recover", "{presentation}", "--seed", "-1"],
     ["roundtrip", "--h", "3", "--seed", "-1"],
     ["oracle", "--seed", "-1"],
+    ["generate", "--h", "3", "--seed", "-5"],
+    ["plumb-verify", "--trials", "2", "--seed", "-3"],
     ["plumb-verify", "--trials", "-3", "--order", "-1"],
     ["plumb-verify", "--trials", "0"],
     ["plumb-verify", "--trials", "2", "--order", "-1"],

@@ -117,6 +117,12 @@ def test_eta_proportionality_detects_unrelated_data():
     assert check == _scaled_series_proportionality([b1, b2])
 
 
+def _lowest_t0_difference(lhs, rhs):
+    """The lowest exponent of the t^0 part of ``lhs - rhs``, or None."""
+    diff = (lhs - rhs).t_component(0)
+    return None if diff.is_zero else diff.terms()[0][0]
+
+
 def _scaled_series_proportionality(b_list):
     """The proportionality check as first written: both sides of every
     pair built as scaled series and compared.  The oracle the
@@ -125,8 +131,8 @@ def _scaled_series_proportionality(b_list):
     ratios = tuple(-b[(0, 0)] for b in b_list)
     for i in range(len(b_list)):
         for j in range(i + 1, len(b_list)):
-            bad = plumbing._first_mismatch(etas[j].scale(ratios[i]),
-                                           etas[i].scale(ratios[j]))
+            bad = _lowest_t0_difference(etas[j].scale(ratios[i]),
+                                        etas[i].scale(ratios[j]))
             if bad is not None:
                 return plumbing.ProportionalityCheck(
                     ok=False, ratios=ratios, first_mismatch=(i, j, bad))
@@ -172,14 +178,18 @@ def test_cross_multiplied_proportionality_matches_the_scaled_series():
 
 
 def test_first_mismatch_is_the_lowest_differing_t0_exponent():
+    """The one mismatch rule of the verifier, with unit multipliers as the
+    closed-form check calls it, and with the multiplier moved onto the
+    multiplier argument as the proportionality check calls it."""
+    first = plumbing._first_cross_mismatch
     a = JetSeries({-2: 1, 1: Fraction(1, 2), 3: (2, 5)})
     b = JetSeries({-2: 1, 1: Fraction(1, 3), 3: 1, 4: (0, 7)})
-    assert plumbing._first_mismatch(a, b) == 1
-    assert plumbing._first_mismatch(b, a.scale(Fraction(2, 3))) == -2
-    assert plumbing._first_mismatch(a, a.scale(1)) is None
+    assert first(1, a, 1, b) == _lowest_t0_difference(a, b) == 1
+    assert first(1, b, 1, a.scale(Fraction(2, 3))) == -2
+    assert first(1, b, Fraction(2, 3), a) == -2
+    assert first(1, a, 1, a.scale(1)) is None
     # t^1 parts do not count
-    assert plumbing._first_mismatch(JetSeries({0: (1, 2)}),
-                                    JetSeries({0: (1, 3)})) is None
+    assert first(1, JetSeries({0: (1, 2)}), 1, JetSeries({0: (1, 3)})) is None
 
 
 @pytest.mark.parametrize("max_order", [0, 1, 6, 12])
@@ -449,6 +459,43 @@ def test_report_fails_on_a_closed_form_off_by_a_quarter(monkeypatch):
     assert report["identities"]["closed_forms"]["failures"] == 2
 
 
+MUTATED_CLOSED_FORMS = [
+    # (series, exponent, added term, first_mismatch)
+    ("omega", -1, Fraction(1, 4), ("omega", -1, 0, Fraction(1, 4))),
+    ("omega", 0, Fraction(1, 4), ("omega", 0, -3, Fraction(-11, 4))),
+    ("omega", 5, Fraction(-1, 4), ("omega", 5, -17, Fraction(-69, 4))),
+    ("eta", -2, Fraction(1, 4), ("eta", -2, Fraction(-3, 4), Fraction(-1, 2))),
+    ("eta", 1, Fraction(1, 4), ("eta", 1, Fraction(-1, 2), Fraction(-1, 4))),
+    ("eta", 9, Fraction(1, 4), ("eta", 9, 0, Fraction(1, 4))),
+    # a t^1 term differs, but only t^0 coefficients are compared
+    ("eta", 1, (0, Fraction(1, 4)), None),
+]
+
+
+@pytest.mark.parametrize("series, exponent, term, expected",
+                         MUTATED_CLOSED_FORMS)
+def test_a_closed_form_off_by_a_quarter_names_its_first_mismatch(
+        monkeypatch, series, exponent, term, expected):
+    """A closed form changed at one exponent is reported there as
+    ``(series, exponent, chain, closed)``, the chain's and the changed
+    closed form's coefficients."""
+    b = random_jet_coefficients(random.Random(41))
+    true_closed_form_pair = plumbing.closed_form_pair
+
+    def mutated(jet):
+        pair = dict(zip(("omega", "eta"), true_closed_form_pair(jet)))
+        pair[series] = pair[series] + JetSeries({exponent: term})
+        return pair["omega"], pair["eta"]
+
+    monkeypatch.setattr(plumbing, "closed_form_pair", mutated)
+    check = check_closed_forms(b)
+    assert check.ok is (expected is None)
+    assert check.first_mismatch == expected
+    if expected is not None:
+        assert [type(x) for x in check.first_mismatch] == \
+            [str, int, Fraction, Fraction]
+
+
 def test_report_fails_on_a_wrong_square_root(monkeypatch, fresh_chain_factors):
     def one_minus_u(self):
         # the series of 1 - u, not of its square root 1 - u/2
@@ -460,19 +507,16 @@ def test_report_fails_on_a_wrong_square_root(monkeypatch, fresh_chain_factors):
     assert report["identities"]["closed_forms"]["failures"] == 2
 
 
-def test_chains_share_and_keep_the_factors(fresh_chain_factors):
-    rng = random.Random(29)
-    b = random_jet_coefficients(rng)
-    first = residue_pair(b)
-    factors = plumbing._chain_factors(b.max_order)
-    before = [series.terms() for series in (factors[0], *factors[1])]
-    layout = factors[2:]
-    assert residue_pair(b) == first
-    assert residue_pair(b.scale(3)) == tuple(s.scale(3) for s in first)
-    assert plumbing._chain_factors(b.max_order) is factors
-    assert [series.terms() for series in (factors[0], *factors[1])] == before
-    assert factors[2:] == layout
-    assert plumbing._chain_factors.cache_info().misses == 1
+def _factor_series(max_order):
+    """The jet-independent factors of the chain, rebuilt from public
+    ``JetSeries`` methods: the prefactor -1/2 (q + v) and the powers
+    v^(n-1) for n = 0..max(max_order, 1)."""
+    q = JetSeries.monomial(1, c0=1)
+    v = q.mul(JetSeries.monomial(-2, c1=1).sqrt_one_minus())
+    v_pows = [v.invert_unit(), JetSeries.one()]
+    while len(v_pows) <= max_order:
+        v_pows.append(v_pows[-1].mul(v))
+    return (q + v).scale(Fraction(-1, 2)), v_pows
 
 
 def _series_of(numerators, den):
@@ -481,29 +525,55 @@ def _series_of(numerators, den):
         {e: (t0.get(e, 0), t1.get(e, 0)) for e in t0.keys() | t1.keys()}, den)
 
 
+def _check_layout(layout, max_order):
+    """``layout`` is ``(rows, pre, den)`` read off the factor series: rows
+    over their common denominator, the prefactor over its own, and ``den``
+    the product of the two."""
+    rows, pre, den = layout
+    prefactor, v_pows = _factor_series(max_order)
+    assert len(rows) == len(v_pows) == max(max_order + 1, 2)
+    assert den % prefactor._den == 0
+    v_den = den // prefactor._den
+    assert [_series_of(row, v_den) for row in rows] == v_pows
+    assert _series_of(pre, prefactor._den) == prefactor
+    return v_den
+
+
+def test_chains_share_and_keep_the_factors(fresh_chain_factors):
+    rng = random.Random(29)
+    b = random_jet_coefficients(rng)
+    first = residue_pair(b)
+    layout = plumbing._chain_factors(b.max_order)
+    assert len(layout) == 3
+    _check_layout(layout, b.max_order)
+    assert residue_pair(b) == first
+    assert residue_pair(b.scale(3)) == tuple(s.scale(3) for s in first)
+    assert plumbing._chain_factors(b.max_order) is layout
+    _check_layout(layout, b.max_order)
+    assert plumbing._chain_factors.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("max_order", [0, 1, 6, 12])
 def test_the_layout_is_read_off_the_factor_series(max_order,
                                                   fresh_chain_factors):
-    prefactor, v_pows, rows, pre, den = plumbing._chain_factors(max_order)
-    assert len(v_pows) == len(rows) == max(max_order + 1, 2)
-    v_den = den // prefactor._den
-    assert [_series_of(row, v_den) for row in rows] == list(v_pows)
-    assert _series_of(pre, prefactor._den) == prefactor
+    rows, pre, den = layout = plumbing._chain_factors(max_order)
+    v_den = _check_layout(layout, max_order)
     # v^(n-1) = q^(n-1) - ((n-1)/2) t q^(n-3), so the common denominator is 2
     assert v_den == 2 and rows[1] == (((0, 2),), ())
     plumbing._chain_factors.cache_clear()
-    assert plumbing._chain_factors(max_order)[2:] == (rows, pre, den)
+    assert plumbing._chain_factors(max_order) == (rows, pre, den)
     assert plumbing._chain_factors.cache_info().misses == 1
 
 
 def test_report_fails_on_a_changed_layout_numerator(monkeypatch):
-    """The chain reads the cached layout: one numerator of v^1 off by one,
-    with the factor series left as they are, fails every closed form."""
-    prefactor, v_pows, rows, pre, den = plumbing._chain_factors(6)
+    """The chain reads the cached layout: one numerator of v^1 off by one
+    fails every closed form."""
+    rows, pre, den = layout = plumbing._chain_factors(6)
+    _check_layout(layout, 6)
     (e, c), = rows[2][0]
     changed = rows[:2] + ((((e, c + 1),), rows[2][1]),) + rows[3:]
     monkeypatch.setattr(plumbing, "_chain_factors",
-                        lambda order: (prefactor, v_pows, changed, pre, den))
+                        lambda order: (changed, pre, den))
     report = verification_report(trials=2, seed=0)
     assert report["status"] == "failed"
     assert report["identities"]["closed_forms"]["failures"] == 2

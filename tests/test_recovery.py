@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,8 +35,14 @@ from torelli_lab.recovery import (
     roundtrip,
     _veronese2,
 )
-from torelli_lab.ramification import ramification_divisor
-from torelli_lab.surfaces import invariants, make_random_general
+from torelli_lab.ramification import is_general, ramification_divisor
+from torelli_lab.surfaces import (
+    WeierstrassSurface,
+    discriminant,
+    invariants,
+    make_random_general,
+    ramification_form,
+)
 
 
 def true_canonical_points(s) -> np.ndarray:
@@ -451,6 +458,25 @@ def test_roundtrip_dropped_factor_fits_no_admissible_genus(monkeypatch):
         roundtrip(s, seed=1)
     assert err.value.stage == "recover"
     assert "37 recovered points fit no admissible (h, q)" in str(err.value)
+
+
+@pytest.mark.parametrize("h", [3, 4])
+def test_the_twin_surface_hides_behind_the_same_divisor(h):
+    """A negative control: (2 g4, g6 / 2) is another surface, with another
+    discriminant, but W is bilinear in (g4, g6), so its ramification form is
+    exactly the original's.  Recovery from the twin's own presentation finds
+    the original's points to criterion 3's bound: the period data fix the
+    divisor, not the surface."""
+    for seed in range(6):
+        s = make_random_general(h, seed=seed)
+        twin = WeierstrassSurface(s.dL, 2 * s.g4, Fraction(1, 2) * s.g6)
+        assert ramification_form(twin) == ramification_form(s)
+        assert discriminant(twin) != discriminant(s)
+        assert is_general(twin)
+        pres, _ = synthesize(twin, seed=seed)
+        geometry = recover_geometry(extract_rank_ones(pres, seed=seed), h)
+        match = match_points(geometry.z_points, true_canonical_points(s))
+        assert match.max_chordal < 1e-6
 
 
 # ---------------------------------------------------------------------------

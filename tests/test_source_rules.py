@@ -13,6 +13,10 @@ are ints, and ``int / int`` is a float.  No numpy in that exact layer
 either: its decisions stay on CPython ints.  Every source file is ASCII.  No module imports scipy when it loads:
 scipy costs most of the package's start-up, and only the assignment
 fallback of ``recovery.match_points`` needs it, so it is imported there.
+Every private helper (a top-level function or class, or a method, named
+with a single leading underscore) is used in the package outside its own
+definition: a path the package no longer takes is deleted, not kept for
+its tests alone.
 """
 
 import ast
@@ -191,3 +195,57 @@ def test_a_passing_roundtrip_never_loads_scipy():
     done = subprocess.run([sys.executable, "-c", FRESH_ROUNDTRIP, src],
                           capture_output=True, text=True, check=True, timeout=120)
     assert done.stdout.split() == ["ok", "False"]
+
+
+def _private_helpers(tree):
+    """The top-level functions and classes and the methods of ``tree``
+    whose names start with exactly one underscore."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *members]:
+            if (isinstance(d, (*functions, ast.ClassDef))
+                    and d.name.startswith("_")
+                    and not d.name.startswith("__")):
+                yield d
+
+
+def _unused_private_helpers(trees):
+    """``file:line: name`` for each private helper of ``trees`` (a dict of
+    file name to syntax tree) that no name or attribute refers to outside
+    the helper's own definition."""
+    uses = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            ref = (node.id if isinstance(node, ast.Name) else
+                   node.attr if isinstance(node, ast.Attribute) else None)
+            if ref is not None:
+                uses.setdefault(ref, []).append((name, node.lineno))
+    found = []
+    for name, tree in trees.items():
+        for node in _private_helpers(tree):
+            if not any(f != name or not node.lineno <= line <= node.end_lineno
+                       for f, line in uses.get(node.name, ())):
+                found.append(f"{name}:{node.lineno}: {node.name}")
+    return found
+
+
+def test_the_private_helper_rule_sees_methods_and_ignores_self_use():
+    source = """
+def _used(): pass
+def _recursive(n): return _recursive(n - 1)
+def __dunder_like(): pass
+class _Unused:
+    def _method(self): return self._method()
+    def _called(self): pass
+    def __init__(self): self._called()
+def public(): return _used()
+"""
+    assert _unused_private_helpers({"m": ast.parse(source)}) == [
+        "m:3: _recursive", "m:5: _Unused", "m:6: _method"]
+
+
+def test_every_private_helper_is_used_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    assert _unused_private_helpers(trees) == []
