@@ -11,7 +11,8 @@ surface data, overridable), while the per-synthesis seed draws the unknown
 scalar weights and a well-conditioned change of basis that hides the rank-1
 structure.  Those rank-1 tensors are orthonormal, so a synthesized basis is
 independent by construction and is not re-certified; any other basis is
-certified when a presentation is made from it.  The recovery argument needs
+certified, on one N x 2N contraction of it, when a presentation is made
+from it.  The recovery argument needs
 only the frame's linear independence, and so does the extractor's
 general-eigensolver path; its fast path uses the orthogonality, because a
 unitary frame makes the pencil it diagonalizes normal, and it certifies
@@ -21,6 +22,7 @@ is then an invariant of the surface, not of the synthesis seed.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 from dataclasses import dataclass
@@ -42,6 +44,7 @@ LAMBDA_MIN = 0.1
 LAMBDA_MAX = 10.0
 MIXER_COND_MAX = 100.0
 BASIS_INDEPENDENCE_TOL = 1e-10
+_CONTRACTION_SEED = 0
 
 
 class NonGenericSurfaceError(TorelliLabError):
@@ -106,29 +109,46 @@ class IVHSPresentation:
     """An N-dimensional subspace of C^(h x N) given by a finite basis of
     matrices, independent to ``BASIS_INDEPENDENCE_TOL``.  The constructor
     proves that independence for any basis handed to it: a Cholesky
-    factorization of the Gram matrix, its diagonal lowered by the rounding
-    margins, certifies it, and an SVD decides what that cannot.
-    ``synthesize`` proves it by construction instead and builds through
-    ``_presentation_by_construction``, which checks shape and finiteness
-    only."""
+    factorization of the Gram matrix of one N x 2N contraction of the basis
+    on its h-axis, its diagonal lowered by the rounding margins, certifies
+    it, and an SVD decides what that cannot.  ``synthesize`` proves it by
+    construction instead and builds through ``_presentation_by_construction``,
+    which checks shape and finiteness only."""
 
     __slots__ = ("h", "N", "basis")
 
     def __init__(self, h: int, N: int, basis):
         basis, peak = _finite_basis(h, N, basis)
-        flat = basis.reshape(N, h * N)
-        # The certificate, on F = flat scaled exactly by a power of 2 so that
-        # G = fl(F F^H) cannot overflow and tr G stays far above underflow.
+        # The certificate, on S = the basis scaled exactly by a power of 2 so
+        # that no product below can overflow, contracted on its h-axis by the
+        # two complex Gaussian rows of V = _contraction(h): the N x 2N matrix
+        # C[j, (i, a)] = sum_d V[i, d] S[j, d, a].  C = F (V^T (x) I_N) for F
+        # the flattened S, and ||V^T (x) I_N||_2 = ||V||_2 <= ||V||_F, so
+        # sigma_min(F) >= sigma_min(C) / ||V||_F, while
+        # sigma_max(F) <= ||F||_F.  So sigma_min(C) > tol sqrt(w), with
+        # w = ||V||_F^2 ||F||_F^2, proves sigma_min > tol sigma_max.  One row
+        # would make C square, and its sigma_min far smaller: an 88 x 704 F
+        # with singular values graded down to 1e-5 was then proved for 14 of
+        # 32 seeds of V, and with two rows for all 32.
         # With u the unit roundoff and gamma_k = k u / (1 - k u):
-        # - G.  Each entry is a complex inner product of length hN, which the
-        #   BLAS forms as real ones of length 2hN in some order, so
-        #   |G - F F^H| <= sqrt(2) gamma_(2hN) |F| |F|^T <= gamma_(3hN) |F| |F|^T
+        # - C.  Each entry is a complex inner product of length h, which the
+        #   BLAS forms as real ones of length 2h in some order, so
+        #   |C^ - C| <= sqrt(2) gamma_(2h) |V| |S| <= gamma_(3h) |V| |S|
         #   entrywise (Higham, Accuracy and Stability of Numerical
-        #   Algorithms, 2002, sections 3.1 and 3.6).  Reading ||F||_F^2 off
-        #   the computed trace costs N more, so delta = gamma_((3h+1)N) tr G
-        #   bounds both ||G - F F^H||_2 and ||F||_F^2 - tr G.  The bound is
-        #   entrywise and symmetric, so it holds for the Hermitian matrix of
-        #   G's lower triangle, the part LAPACK's Cholesky reads.
+        #   Algorithms, 2002, sections 3.1 and 3.6).  By Cauchy-Schwarz the
+        #   bound on entry (j, (i, a)) is at most
+        #   gamma_(3h) ||V[i]|| ||S[j, :, a]||, so
+        #   ||C^ - C||_2 <= ||C^ - C||_F <= gamma_(3h) sqrt(w).
+        # - w.  ||F||_F^2 is one summed pass, a real inner product of length
+        #   2hN^2 with non-negative terms, and ||V||_F^2 one of length 4h, so
+        #   w <= w^ / (1 - gamma_m), m = 2hN^2 + 4h + 1, for the computed w^.
+        # - G = fl(C^ C^H).  Its entries are complex inner products of length
+        #   2N, so |G - C^ C^H| <= gamma_(6N) |C^| |C^|^T entrywise and
+        #   ||G - C^ C^H||_2 <= gamma_(6N) ||C^||_F^2.  Reading ||C^||_F^2 off
+        #   the computed trace costs N more, so delta = gamma_(7N) tr G bounds
+        #   ||G - C^ C^H||_2.  The bound is entrywise and symmetric, so it
+        #   holds for the Hermitian matrix of G's lower triangle, the part
+        #   LAPACK's Cholesky reads.
         # - Cholesky.  If it factors A = G - s I (s = t + c, subtracted in
         #   place), then R^H R = A + E with |E| <= gamma_(3N+3) |R^H| |R|:
         #   Higham's Theorem 10.3, with each complex inner product again a
@@ -140,25 +160,31 @@ class IVHSPresentation:
         #   the rounding of the trace, of s and of the shifted diagonal
         #   (Rump, Verification of positive definiteness, BIT 46, 2006).
         #   Then lam_min(G) > t.
-        # - Verdict.  By Weyl's inequality sigma_min(F)^2 >= lam_min(G) - delta
-        #   > tol^2 (tr G + delta) >= tol^2 sigma_max(F)^2 for
-        #   t = tol^2 (tr G + delta) + delta, which proves
-        #   sigma_min > tol sigma_max.  A failed factorization proves nothing,
-        #   and an SVD decides, on the transpose (LAPACK takes the tall layout
-        #   about twice as fast).
+        # - Verdict.  For t = (tol + gamma_(3h))^2 w^ / (1 - gamma_m) + delta,
+        #   Weyl's inequality gives sigma_min(C^)^2 >= lam_min(G) - delta >
+        #   (tol + gamma_(3h))^2 w, and again sigma_min(C) >= sigma_min(C^)
+        #   - gamma_(3h) sqrt(w) > tol sqrt(w).  The contraction can lose
+        #   what F has, so a failed factorization proves nothing, and an SVD
+        #   decides, on the transpose (LAPACK takes the tall layout about
+        #   twice as fast).
         _, e = np.frexp(peak)
-        scaled = flat * np.ldexp(1.0, min(-int(e), 1023))
-        gram = scaled @ scaled.conj().T
+        scaled = basis * np.ldexp(1.0, min(-int(e) - 1, 1023))
+        parts = scaled.reshape(-1).view(float)
+        v = _contraction(h)
+        contracted = (v @ scaled).reshape(N, 2 * N)
+        gram = contracted @ contracted.conj().T
         trace = np.trace(gram).real
-        u, m, k = np.finfo(float).eps / 2, (3 * h + 1) * N, 3 * N + 6
-        delta = m * u / (1 - m * u) * trace
-        t = BASIS_INDEPENDENCE_TOL ** 2 * (trace + delta) + delta
+        u = np.finfo(float).eps / 2
+        m, d, k = 2 * h * N * N + 4 * h + 1, 7 * N, 3 * N + 6
+        w = np.vdot(v, v).real * (parts @ parts) / (1 - m * u / (1 - m * u))
+        t = ((BASIS_INDEPENDENCE_TOL + 3 * h * u / (1 - 3 * h * u)) ** 2 * w
+             + d * u / (1 - d * u) * trace)
         c = k * u / (1 - 2 * k * u) * trace
         gram.flat[::N + 1] -= t + c
         try:
             np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            sv = np.linalg.svd(flat.T, compute_uv=False)
+            sv = np.linalg.svd(basis.reshape(N, h * N).T, compute_uv=False)
             if sv[0] == 0.0 or sv[-1] <= BASIS_INDEPENDENCE_TOL * sv[0]:
                 raise InvalidPresentationError(
                     "basis matrices are not numerically independent "
@@ -173,8 +199,8 @@ class IVHSPresentation:
 
 
 def _finite_basis(h: int, N: int, basis):
-    """The basis as a complex array of shape (N, h, N), and its largest
-    |entry|, which must be finite."""
+    """The basis as a complex array of shape (N, h, N), and its largest real
+    or imaginary part in magnitude, which must be finite."""
     if h < 1 or N < 1:
         raise InvalidPresentationError(
             f"a presentation needs h >= 1 and N >= 1, got {h} and {N}")
@@ -182,10 +208,20 @@ def _finite_basis(h: int, N: int, basis):
     if basis.shape != (N, h, N):
         raise InvalidPresentationError(
             f"expected basis of shape {(N, h, N)}, got {basis.shape}")
-    peak = np.max(np.abs(basis))
+    # max(|re|, |im|) is within a factor sqrt(2) of the largest modulus, and
+    # a NaN or an Inf anywhere reaches it
+    parts = np.ascontiguousarray(basis).view(float)
+    peak = np.maximum(parts.max(), -parts.min())
     if not np.isfinite(peak):
         raise InvalidPresentationError("basis contains NaN or Inf")
     return basis, peak
+
+
+def _contraction(h: int) -> np.ndarray:
+    """The certificate's two complex Gaussian rows of length h, drawn from a
+    fixed private seed on every call."""
+    return np.random.default_rng(_CONTRACTION_SEED).standard_normal(
+        (2, 2 * h)).view(complex)
 
 
 def _fill(p: IVHSPresentation, h: int, N: int, basis: np.ndarray) -> None:
@@ -238,7 +274,7 @@ def synthesize(s: WeierstrassSurface, seed: int, frame_seed=None):
     factor would change neither the spanned subspace nor the pencil that
     extraction diagonalizes, so none is drawn.  The basis is independent by
     construction, so the presentation is built without the constructor's
-    Gram certificate.
+    contraction certificate.
     """
     report = is_general(s)
     if not report:
@@ -331,8 +367,10 @@ def presentation_to_json_dict(p: IVHSPresentation) -> dict:
 @_one_blas_thread
 def presentation_from_json_dict(data: dict) -> IVHSPresentation:
     try:
-        h, n = data["h"], data["N"]
-        raw = bytes.fromhex(data["basis"])
+        h, n, packed = data["h"], data["N"], data["basis"]
+        if not isinstance(packed, str):
+            raise TypeError(f"basis is a {type(packed).__name__}, not a string")
+        raw = binascii.unhexlify(packed)
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"malformed presentation data, whose basis must be "
                          f"{BASIS_FORMAT}: {exc}") from exc

@@ -152,8 +152,8 @@ NOT_INTEGERS = {"float h": ("h", 2.9), "string h": ("h", "2"),
 
 @pytest.mark.parametrize("defect", [
     "non-hex", "odd length", "missing entry", "extra byte", "not a string",
-    "no basis", *NOT_INTEGERS, "nested lists", "ragged row", "one part",
-    "three parts", "string part"])
+    "hex bytes", "whitespace", "no basis", *NOT_INTEGERS, "nested lists",
+    "ragged row", "one part", "three parts", "string part"])
 def test_presentation_decode_rejects_malformed_data(defect):
     data = _tiny_presentation_data()
     assert presentation_from_json_dict(data).basis.shape == (3, 2, 3)
@@ -173,6 +173,10 @@ def test_presentation_decode_rejects_malformed_data(defect):
         data["basis"] = packed + "00"
     elif defect == "not a string":
         data["basis"] = bytes.fromhex(packed)
+    elif defect == "hex bytes":
+        data["basis"] = packed.encode()
+    elif defect == "whitespace":
+        data["basis"] = packed[:32] + " " + packed[32:]
     elif defect == "no basis":
         del data["basis"]
     else:
@@ -259,10 +263,12 @@ def test_synthesized_presentations_are_certified_without_an_svd(
     assert MIXER_COND_MAX * LAMBDA_MAX / LAMBDA_MIN == pytest.approx(1e4)
     assert (MIXER_COND_MAX * LAMBDA_MAX / LAMBDA_MIN
             * BASIS_INDEPENDENCE_TOL) <= 1e-5
-    pres, _ = synthesize(make_random_general(h, seed=h), seed=h)
-    counts = _count_linalg(monkeypatch)
-    IVHSPresentation(h=pres.h, N=pres.N, basis=pres.basis)
-    assert counts["cholesky"] == 1 and counts["svd"] == 0
+    for seed in range(4):
+        pres, _ = synthesize(make_random_general(h, seed=seed), seed=seed)
+        counts = _count_linalg(monkeypatch)
+        IVHSPresentation(h=pres.h, N=pres.N, basis=pres.basis)
+        monkeypatch.undo()
+        assert counts["cholesky"] == 1 and counts["svd"] == 0
 
 
 def test_synthesize_proves_independence_without_a_factorization(monkeypatch):
@@ -323,16 +329,22 @@ def test_independence_cut_is_decided_by_the_svd(monkeypatch, ratio):
 LOG_RATIOS = [-1, -3, -5, -6, -7, -8, -9, -11, -12, -13]
 
 
-def _graded_basis(log_ratio, n, h):
-    """A basis whose flattening has singular values spread evenly in log
-    scale from 1 to 10^log_ratio."""
-    rng = np.random.default_rng(-log_ratio)
+def _basis_with_spectrum(svals, h, rng):
+    """A basis whose flattening has the singular values ``svals`` and
+    random singular vectors."""
+    n = len(svals)
     left, _ = np.linalg.qr(rng.standard_normal((n, n))
                            + 1j * rng.standard_normal((n, n)))
     right, _ = np.linalg.qr(rng.standard_normal((h * n, n))
                             + 1j * rng.standard_normal((h * n, n)))
-    svals = np.logspace(0.0, log_ratio, n)
     return ((left * svals) @ right.conj().T).reshape(n, h, n)
+
+
+def _graded_basis(log_ratio, n, h):
+    """A basis whose flattening has singular values spread evenly in log
+    scale from 1 to 10^log_ratio."""
+    return _basis_with_spectrum(np.logspace(0.0, log_ratio, n), h,
+                                np.random.default_rng(-log_ratio))
 
 
 @pytest.mark.parametrize("log_ratio", LOG_RATIOS)
@@ -360,6 +372,54 @@ def test_certificate_and_svd_give_one_verdict_at_benchmark_scale(
     if log_ratio >= -5:
         IVHSPresentation(h=h, N=n, basis=_graded_basis(log_ratio, n, h))
         assert counts["svd"] == 0
+
+
+def test_contraction_blind_basis_is_decided_by_the_svd(monkeypatch):
+    # basis[0] = w (x) r with w in the kernel of the certificate's
+    # contraction, so the contracted matrix has a zero row and proves
+    # nothing, though the flattened basis is well conditioned
+    n, h = 6, 4
+    rng = np.random.default_rng(9)
+    basis = rng.standard_normal((n, h, n)) + 1j * rng.standard_normal((n, h, n))
+    v = ivhs._contraction(h)
+    w = np.linalg.svd(v)[2][-1].conj()
+    basis[0] = np.outer(w, basis[0, 0])
+    assert np.max(np.abs(v @ basis[0])) < 1e-14 * np.linalg.norm(basis[0])
+    sv = np.linalg.svd(basis.reshape(n, h * n), compute_uv=False)
+    assert sv[-1] > 0.1 * sv[0]
+    counts = _count_linalg(monkeypatch)
+    IVHSPresentation(h=h, N=n, basis=basis)
+    assert counts["cholesky"] == 1 and counts["svd"] == 1
+
+
+@pytest.mark.parametrize("n,h", [(58, 5), (88, 8)])
+def test_certificate_accepts_nothing_the_svd_rejects_near_the_cut(
+        monkeypatch, n, h):
+    # flattened bases at sigma_min/sigma_max from 1e-7 to 1e-12, around
+    # tol = 1e-10, with a graded spectrum or with one small singular value
+    # (without the rounding margins, the Cholesky accepts some of the
+    # latter below tol): whatever the Cholesky accepts without an SVD has
+    # sigma_min/sigma_max above tol, and the SVD gives every other verdict
+    one_small = np.ones(n)
+    bases = []
+    for log_ratio in range(-7, -13, -1):
+        one_small[-1] = 10.0 ** log_ratio
+        bases += [_graded_basis(log_ratio, n, h), _basis_with_spectrum(
+            one_small, h, np.random.default_rng(-log_ratio))]
+    for basis in bases:
+        sv = np.linalg.svd(basis.reshape(n, h * n).T, compute_uv=False)
+        independent = bool(sv[-1] > BASIS_INDEPENDENCE_TOL * sv[0])
+        counts = _count_linalg(monkeypatch)
+        try:
+            IVHSPresentation(h=h, N=n, basis=basis)
+            accepted = True
+        except InvalidPresentationError:
+            accepted = False
+        finally:
+            monkeypatch.undo()
+        assert accepted == independent
+        if counts["svd"] == 0:      # the Cholesky accepted it
+            assert independent
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(-np.inf, 1.0)])
