@@ -10,8 +10,7 @@ live on ``_ExactCore``, the one exact core that ``plumbing.JetCoefficients``
 shares: integer numerators over one positive common denominator in lowest
 terms, with one equality, sum and rational scaling.  So the arithmetic runs
 on ints and ``Fraction`` appears only at the boundary: the constructor
-takes ints and Fractions (``from_numerators`` takes integer numerators
-over one denominator), and ``coefficient``, ``terms`` and ``repr`` give
+takes ints and Fractions, and ``coefficient``, ``terms`` and ``repr`` give
 Fractions back.  Every operation is pure and exact; floats and strings are
 rejected, and so is a key that is not an integer.
 """
@@ -31,14 +30,6 @@ def _rat(value):
         raise TypeError("jet arithmetic is exact; floats and strings are "
                         "not allowed")
     return Fraction(value)
-
-
-def _positive_int(den) -> int:
-    if not isinstance(den, int):
-        raise TypeError("a JetSeries denominator is an int")
-    if den < 1:
-        raise ValueError(f"a JetSeries denominator is positive, got {den}")
-    return den
 
 
 def _pair(value):
@@ -155,16 +146,6 @@ class JetSeries(_ExactCore):
     def monomial(cls, exponent: int, c0=0, c1=0) -> "JetSeries":
         """The single term ``(c0 + t*c1) * q**exponent``."""
         return cls({exponent: (c0, c1)})
-
-    @classmethod
-    def from_numerators(cls, num, den: int) -> "JetSeries":
-        """The series ``sum (n0 + t*n1) / den * q**e`` over the integer
-        pairs ``num[e] = (n0, n1)``, for an integer ``den > 0``: the
-        constructor on integers, put in lowest terms by one gcd pass."""
-        for n0, n1 in num.values():
-            if not (isinstance(n0, int) and isinstance(n1, int)):
-                raise TypeError("JetSeries numerators are ints")
-        return cls._reduced(num, _positive_int(den))
 
     # ---- inspection ----------------------------------------------------
 

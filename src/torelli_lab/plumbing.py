@@ -23,13 +23,16 @@ Every series in the chain is a finite Laurent polynomial in q: modulo t^2
 the branch is exactly v = q - (t/2) q^{-1}, so the chain is exact
 Laurent-polynomial arithmetic and nothing but t^2 is truncated.  The
 factors that do not depend on the jet, the prefactor and the powers
-v^(n-1), are built once per jet order, and only the integer layout read off
-them is kept and shared: the numerators of every v^(n-1) over one common
-denominator, and the prefactor's numerators.  Each jet's chain sums its
-terms over that layout in one pass and takes one product with the
-prefactor, split into its t^0 and t^1 parts as it is formed; every identity
-is checked on chains of its own, never derived from another chain, and
-every check finds its first mismatch by cross-multiplied t^0 numerators.
+v^(n-1), are built once per jet order, and only the chain image of each
+jet index n is kept and shared: the t^0 and t^1 numerators of their product
+-1/2 (q + v) v^(n-1) over one common denominator.  The chain is linear in
+b, so summing the images of a jet's terms applies the same linear map as
+multiplying the sum of its terms by the prefactor; only the order of two
+exact operations differs, by distributivity.  Each part is summed in one
+pass, and the proportionality check builds the t^1 part alone.  Every
+identity is checked on chains of its own, no eta is derived from another
+member's chain, and every check finds its first mismatch by cross-multiplied
+t^0 numerators.
 
 Jet coefficients live on the exact core of ``jets``, keyed by ``(m, n)``,
 and the chain and the closed forms read that layout directly, so all of
@@ -109,7 +112,7 @@ class JetCoefficients(_ExactCore):
         return sorted(self.b.items())
 
 
-def _numerators(series: JetSeries, f: int = 1):
+def _numerators(series: JetSeries, f: int):
     """The nonzero t^0 and t^1 numerators of ``series`` times ``f``, as two
     tuples of ``(exponent, numerator)``."""
     return tuple(tuple((e, f * pair[t]) for e, pair in series._num.items()
@@ -118,13 +121,12 @@ def _numerators(series: JetSeries, f: int = 1):
 
 @functools.cache
 def _chain_factors(max_order: int):
-    """``(rows, pre, den)``, the integer layout of the chain's factors
-    -1/2 (q + v) and v^(n-1), n = 0..max_order, with v = q*(1 - t q^{-2})^{1/2}
-    (v^(n-1) by exact multiplication, the unit inverse at n = 0), which are
-    not kept.  ``rows[n]`` holds the numerators of v^(n-1) over the lcm of
-    the denominators of all v^(n-1) and ``pre`` the prefactor's over its
-    own, as ``_numerators`` gives them; ``den`` is the product of the two
-    denominators.  Everything is immutable and shared by the order's chains.
+    """``(images, den)``, the chain images of the jet indices n =
+    0..max_order: ``images[n]`` holds the t^0 and t^1 numerators of
+    -1/2 (q + v) v^(n-1), with v = q*(1 - t q^{-2})^{1/2}, over the lcm
+    ``den`` of their denominators, as ``_numerators`` gives them.  The
+    factors are built by exact multiplication (the unit inverse at n = 0)
+    and not kept; the images are immutable and shared by the order's chains.
     """
     q = JetSeries.monomial(1, c0=1)
     u = JetSeries.monomial(-2, c1=1)
@@ -133,45 +135,34 @@ def _chain_factors(max_order: int):
     v_pows = [v.invert_unit(), JetSeries.one()]
     while len(v_pows) <= max_order:
         v_pows.append(v_pows[-1].mul(v))
-    den = lcm(*(p._den for p in v_pows))
-    rows = tuple(_numerators(p, den // p._den) for p in v_pows)
-    return rows, _numerators(prefactor), den * prefactor._den
+    products = [prefactor.mul(p) for p in v_pows[:max_order + 1]]
+    den = lcm(*(p._den for p in products))
+    return tuple(_numerators(p, den // p._den) for p in products), den
 
 
-def _add_products(acc: dict, xs, ys):
-    """Add the product of the terms ``xs`` and ``ys``, each an iterable of
-    ``(exponent, numerator)``, into the numerators ``acc``."""
-    for e, x in xs:
-        for f, y in ys:
-            acc[e + f] = acc.get(e + f, 0) + x * y
+def _chain_part(b: JetCoefficients, t: int) -> JetSeries:
+    """The t^``t`` part of the chain of ``b``: the images of its jet
+    indices, the image of (m, n) being ``images[n][t]`` shifted by m,
+    summed in one pass and returned as a canonical pure-q series."""
+    images, den = _chain_factors(b.max_order)
+    acc = {}
+    for (m, n), (k, _) in b._num.items():
+        for e, c in images[n][t]:
+            acc[e + m] = acc.get(e + m, 0) + k * c
+    return JetSeries._lowest({e: (c, 0) for e, c in acc.items() if c},
+                             den * b._den)
 
 
 def residue_pair(b: JetCoefficients):
     """(omega, eta): the t^0 and t^1 parts of the residue chain.
 
-    The chain is computed structurally on the layout of ``_chain_factors``:
-    sum b[m,n] q^m v^(n-1) is accumulated in one pass as integer t^0 and
-    t^1 numerators over one denominator, then multiplied by the prefactor
-    -1/2 (q + v) with the t^0 part (omega) and the t^1 part (eta) of the
-    product kept apart as it is formed.  No use is made of the closed
-    forms, so comparing against them is a two-sided check.
+    Each part is summed over the cached images of ``_chain_factors``, the
+    product of the prefactor -1/2 (q + v) with each v^(n-1).  The chain is
+    linear in ``b``, so this is the chain's own map, applied in the other
+    order by distributivity; no use is made of the closed forms, so
+    comparing against them is a two-sided check.
     """
-    rows, (pre0, pre1), den = _chain_factors(b.max_order)
-    s0, s1 = {}, {}
-    for (m, n), (k, _) in b._num.items():
-        row0, row1 = rows[n]
-        for e, c in row0:
-            s0[e + m] = s0.get(e + m, 0) + k * c
-        for e, c in row1:
-            s1[e + m] = s1.get(e + m, 0) + k * c
-    # (s0 + t s1)(pre0 + t pre1) = s0 pre0 + t (s0 pre1 + s1 pre0) mod t^2
-    omega, eta = {}, {}
-    _add_products(omega, s0.items(), pre0)
-    _add_products(eta, s0.items(), pre1)
-    _add_products(eta, s1.items(), pre0)
-    den *= b._den
-    return tuple(JetSeries._reduced({e: (c, 0) for e, c in part.items()}, den)
-                 for part in (omega, eta))
+    return _chain_part(b, 0), _chain_part(b, 1)
 
 
 def closed_form_pair(b: JetCoefficients):
@@ -247,9 +238,9 @@ def check_eta_proportionality(b_list) -> ProportionalityCheck:
     with omega_j(a) = -b_j[0,0]; this is the rank-1 shape of the derivative
     restated at series level.  Cross-multiplied integer numerators avoid
     division, handle zero members and build no scaled series; each eta is
-    the chain of its own member.
+    the t^1 part of the chain of its own member, built alone.
     """
-    etas = [residue_pair(b)[1] for b in b_list]
+    etas = [_chain_part(b, 1) for b in b_list]
     ratios = tuple(-b[(0, 0)] for b in b_list)
     for i in range(len(b_list)):
         for j in range(i + 1, len(b_list)):

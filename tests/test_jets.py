@@ -138,23 +138,6 @@ def test_canonical_form_cancellation_gives_the_zero_series():
             assert z.terms() == [] and repr(z) == "JetSeries(0)"
 
 
-def test_from_numerators_is_the_constructor_on_integers():
-    rng = random.Random(21)
-    for _ in range(40):
-        den = rng.randint(1, 36)
-        num = {e: (rng.randint(-9, 9) * rng.randint(0, 1), rng.randint(-9, 9))
-               for e in range(rng.randint(-20, 0), rng.randint(0, 20))}
-        s = JetSeries.from_numerators(num, den)
-        assert s == JetSeries({e: (Fraction(n0, den), Fraction(n1, den))
-                               for e, (n0, n1) in num.items()})
-    assert JetSeries.from_numerators({40: (0, 0), -40: (0, 0)}, 1) == ZERO
-    assert JetSeries.from_numerators({40: (2, 0), -40: (0, 4)}, 6).terms() == \
-        [(-40, 0, Fraction(2, 3)), (40, Fraction(1, 3), 0)]
-    for den in (0, -2):
-        with pytest.raises(ValueError):
-            JetSeries.from_numerators({0: (1, 0)}, den)
-
-
 def test_boundary_values_are_fractions():
     s = JetSeries({1: (3, Fraction(1, 6)), -1: (Fraction(-4, 6), 0)})
     for e, c0, c1 in s.terms():
@@ -174,10 +157,6 @@ def test_float_and_complex_inputs_raise_type_error():
     for bad in (0.5, 2.0, 1j):
         with pytest.raises(TypeError):
             one.scale(bad)
-    for bad in ((0.5, 1), (Fraction(1, 2), 1), (1, 2.0)):
-        n, den = bad
-        with pytest.raises(TypeError):
-            JetSeries.from_numerators({0: (n, 0)}, den)
     with pytest.raises(TypeError):
         JetSeries.monomial(0, c1=1.5)
 

@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -428,6 +428,16 @@ def test_one_pass_chain_equals_the_term_by_term_chain(max_order, window):
             assert low <= min(exponents) and max(exponents) <= high
 
 
+@pytest.mark.parametrize("max_order", [0, 1, 6, 12])
+def test_the_eta_part_is_the_eta_of_the_pair_and_of_the_term_by_term_chain(
+        max_order):
+    """The t^1 part that the proportionality check builds alone is the eta
+    of the whole chain and of the chain built term by term."""
+    for b in _oracle_jets(max_order, seed=max_order):
+        eta = plumbing._chain_part(b, 1)
+        assert eta == residue_pair(b)[1] == _residue_pair_term_by_term(b)[1]
+
+
 def test_oracle_jets_cover_every_monomial_and_window():
     jets = _oracle_jets(6, seed=0)
     assert jets[0].b == {}
@@ -508,35 +518,33 @@ def test_report_fails_on_a_wrong_square_root(monkeypatch, fresh_chain_factors):
 
 
 def _factor_series(max_order):
-    """The jet-independent factors of the chain, rebuilt from public
-    ``JetSeries`` methods: the prefactor -1/2 (q + v) and the powers
-    v^(n-1) for n = 0..max(max_order, 1)."""
+    """The chain images of the jet indices n = 0..max_order, rebuilt from
+    public ``JetSeries`` methods: the prefactor -1/2 (q + v) times each
+    power v^(n-1)."""
     q = JetSeries.monomial(1, c0=1)
     v = q.mul(JetSeries.monomial(-2, c1=1).sqrt_one_minus())
+    prefactor = (q + v).scale(Fraction(-1, 2))
     v_pows = [v.invert_unit(), JetSeries.one()]
     while len(v_pows) <= max_order:
         v_pows.append(v_pows[-1].mul(v))
-    return (q + v).scale(Fraction(-1, 2)), v_pows
+    return [prefactor.mul(v_pow) for v_pow in v_pows[:max_order + 1]]
 
 
 def _series_of(numerators, den):
-    t0, t1 = ({e: c for e, c in part} for part in numerators)
-    return JetSeries.from_numerators(
-        {e: (t0.get(e, 0), t1.get(e, 0)) for e in t0.keys() | t1.keys()}, den)
+    t0, t1 = ({e: Fraction(c, den) for e, c in part} for part in numerators)
+    return JetSeries({e: (t0.get(e, 0), t1.get(e, 0))
+                      for e in t0.keys() | t1.keys()})
 
 
 def _check_layout(layout, max_order):
-    """``layout`` is ``(rows, pre, den)`` read off the factor series: rows
-    over their common denominator, the prefactor over its own, and ``den``
-    the product of the two."""
-    rows, pre, den = layout
-    prefactor, v_pows = _factor_series(max_order)
-    assert len(rows) == len(v_pows) == max(max_order + 1, 2)
-    assert den % prefactor._den == 0
-    v_den = den // prefactor._den
-    assert [_series_of(row, v_den) for row in rows] == v_pows
-    assert _series_of(pre, prefactor._den) == prefactor
-    return v_den
+    """``layout`` is ``(images, den)`` read off the image series: each
+    image's numerators over ``den``, the lcm of their denominators."""
+    images, den = layout
+    series = _factor_series(max_order)
+    assert len(images) == len(series) == max_order + 1
+    assert den == lcm(*(s._den for s in series))
+    assert [_series_of(image, den) for image in images] == series
+    return den
 
 
 def test_chains_share_and_keep_the_factors(fresh_chain_factors):
@@ -544,7 +552,7 @@ def test_chains_share_and_keep_the_factors(fresh_chain_factors):
     b = random_jet_coefficients(rng)
     first = residue_pair(b)
     layout = plumbing._chain_factors(b.max_order)
-    assert len(layout) == 3
+    assert len(layout) == 2
     _check_layout(layout, b.max_order)
     assert residue_pair(b) == first
     assert residue_pair(b.scale(3)) == tuple(s.scale(3) for s in first)
@@ -556,27 +564,37 @@ def test_chains_share_and_keep_the_factors(fresh_chain_factors):
 @pytest.mark.parametrize("max_order", [0, 1, 6, 12])
 def test_the_layout_is_read_off_the_factor_series(max_order,
                                                   fresh_chain_factors):
-    rows, pre, den = layout = plumbing._chain_factors(max_order)
-    v_den = _check_layout(layout, max_order)
-    # v^(n-1) = q^(n-1) - ((n-1)/2) t q^(n-3), so the common denominator is 2
-    assert v_den == 2 and rows[1] == (((0, 2),), ())
+    images, den = layout = plumbing._chain_factors(max_order)
+    assert _check_layout(layout, max_order) == 4
+    # the image of (0, n) is -q^n + ((2n - 1)/4) t q^(n-2), so the common
+    # denominator is 4
+    assert images == tuple((((n, -4),), ((n - 2, 2 * n - 1),))
+                           for n in range(max_order + 1))
     plumbing._chain_factors.cache_clear()
-    assert plumbing._chain_factors(max_order) == (rows, pre, den)
+    assert plumbing._chain_factors(max_order) == (images, den)
     assert plumbing._chain_factors.cache_info().misses == 1
 
 
 def test_report_fails_on_a_changed_layout_numerator(monkeypatch):
-    """The chain reads the cached layout: one numerator of v^1 off by one
-    fails every closed form."""
-    rows, pre, den = layout = plumbing._chain_factors(6)
+    """The chain reads the cached images: one numerator of the image of
+    n = 2 off by one, in its t^0 or its t^1 part, fails every closed form.
+    Proportionality cannot see a changed t^1 numerator: the eta of every
+    member goes through the same changed linear map."""
+    images, den = layout = plumbing._chain_factors(6)
     _check_layout(layout, 6)
-    (e, c), = rows[2][0]
-    changed = rows[:2] + ((((e, c + 1),), rows[2][1]),) + rows[3:]
-    monkeypatch.setattr(plumbing, "_chain_factors",
-                        lambda order: (changed, pre, den))
-    report = verification_report(trials=2, seed=0)
-    assert report["status"] == "failed"
-    assert report["identities"]["closed_forms"]["failures"] == 2
+    for t in (0, 1):
+        image = list(images[2])
+        (e, c), = image[t]
+        image[t] = ((e, c + 1),)
+        changed = images[:2] + (tuple(image),) + images[3:]
+        monkeypatch.setattr(plumbing, "_chain_factors",
+                            lambda order, changed=changed: (changed, den))
+        report = verification_report(trials=2, seed=0)
+        assert report["status"] == "failed"
+        assert report["identities"]["closed_forms"]["failures"] == 2, t
+        if t == 1:
+            assert report["identities"]["proportionality"]["failures"] == 0
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +718,19 @@ def test_the_jet_arithmetic_of_a_trial_builds_no_fraction(monkeypatch):
     combo = b1.scale(alpha) + b2.scale(beta)
     chain = residue_pair(combo)
     closed = closed_form_pair(combo)
+    family = [combo.scale(c) for c in (1, alpha, 0, beta)]
+    etas = [plumbing._chain_part(b, 1) for b in family]
     assert made == []
+    # the proportionality check's only Fractions are its ratios, -b[0,0]
+    check = check_eta_proportionality(family)
+    in_check = len(made)
+    made.clear()
+    ratios = tuple(-b[(0, 0)] for b in family)
+    assert in_check == len(made) > 0
     # the probe sees a Fraction built at the boundary
     assert combo[(0, 0)] == alpha * b1[(0, 0)] + beta * b2[(0, 0)]
     assert made
     monkeypatch.undo()
     assert chain == closed
+    assert check.ok and check.ratios == ratios
+    assert etas == [residue_pair(b)[1] for b in family]

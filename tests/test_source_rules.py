@@ -7,9 +7,11 @@ name the benchmark's tracer rebinds and every exported name exists, so a
 deletion cannot break ``perfbench`` or ``from torelli_lab import *``.  No
 true division in the exact layer of ``binforms``, in the exact core of
 ``jets`` and ``jets.JetSeries``, or in ``plumbing.JetCoefficients``, the
-random jets, and the chain, its layout, the closed forms and the
-proportionality check built from them: their coefficients and numerators
-are ints, and ``int / int`` is a float.  No numpy in that exact layer
+random jets, the chain (its cached images, the one sum of a chain part over
+them, and the pair of parts), the closed forms and the mismatch rule of the
+checks built from them: their coefficients and numerators are ints, and
+``int / int`` is a float; every name the rule lists must exist, so the list
+cannot go stale.  No numpy in that exact layer
 either: its decisions stay on CPython ints.  Every source file is ASCII.  No module imports scipy when it loads:
 scipy costs most of the package's start-up, and only the assignment
 fallback of ``recovery.match_points`` needs it, so it is imported there.
@@ -104,7 +106,7 @@ def test_no_true_division_in_jet_series():
     # every method of the classes, none exempt
     assert _true_divisions(JETS, {"_ExactCore", "JetSeries"}) == []
     assert _true_divisions(PLUMBING, {
-        "JetCoefficients", "_chain_factors", "_numerators", "_add_products",
+        "JetCoefficients", "_chain_factors", "_numerators", "_chain_part",
         "residue_pair", "closed_form_pair", "_first_cross_mismatch",
         "random_jet_coefficients"}) == []
 
