@@ -435,10 +435,6 @@ class BinaryForm:
     # ---- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, degree: int) -> "BinaryForm":
-        return cls(degree, [0] * (degree + 1))
-
-    @classmethod
     def constant(cls, value, degree: int) -> "BinaryForm":
         """The affine constant ``value`` as the form value*Z0^degree."""
         coeffs = [value] + [0] * degree

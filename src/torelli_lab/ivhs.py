@@ -118,10 +118,11 @@ class IVHSPresentation:
     __slots__ = ("h", "N", "basis")
 
     def __init__(self, h: int, N: int, basis):
-        basis, peak = _finite_basis(h, N, basis)
-        # The certificate, on S = the basis scaled exactly by a power of 2 so
-        # that no product below can overflow, contracted on its h-axis by the
-        # two complex Gaussian rows of V = _contraction(h): the N x 2N matrix
+        basis, scale = _finite_basis(h, N, basis)
+        # The certificate, on S = the basis scaled exactly by the power of 2
+        # of _peak_scale, so that no product below can overflow, contracted
+        # on its h-axis by the two complex Gaussian rows of
+        # V = _contraction(h): the N x 2N matrix
         # C[j, (i, a)] = sum_d V[i, d] S[j, d, a].  C = F (V^T (x) I_N) for F
         # the flattened S, and ||V^T (x) I_N||_2 = ||V||_2 <= ||V||_F, so
         # sigma_min(F) >= sigma_min(C) / ||V||_F, while
@@ -167,8 +168,7 @@ class IVHSPresentation:
         #   what F has, so a failed factorization proves nothing, and an SVD
         #   decides, on the transpose (LAPACK takes the tall layout about
         #   twice as fast).
-        _, e = np.frexp(peak)
-        scaled = basis * np.ldexp(1.0, min(-int(e) - 1, 1023))
+        scaled = basis * scale
         parts = scaled.reshape(-1).view(float)
         v = _contraction(h)
         contracted = (v @ scaled).reshape(N, 2 * N)
@@ -199,8 +199,8 @@ class IVHSPresentation:
 
 
 def _finite_basis(h: int, N: int, basis):
-    """The basis as a complex array of shape (N, h, N), and its largest real
-    or imaginary part in magnitude, which must be finite."""
+    """The basis as a complex array of shape (N, h, N), whose entries must
+    be finite, and its ``_peak_scale``."""
     if h < 1 or N < 1:
         raise InvalidPresentationError(
             f"a presentation needs h >= 1 and N >= 1, got {h} and {N}")
@@ -208,13 +208,24 @@ def _finite_basis(h: int, N: int, basis):
     if basis.shape != (N, h, N):
         raise InvalidPresentationError(
             f"expected basis of shape {(N, h, N)}, got {basis.shape}")
+    peak, scale = _peak_scale(basis)
+    if not np.isfinite(peak):
+        raise InvalidPresentationError("basis contains NaN or Inf")
+    return basis, scale
+
+
+def _peak_scale(basis):
+    """(peak, scale): the largest real or imaginary part of ``basis`` in
+    magnitude, read off its real view, and the power of 2 that takes a
+    finite peak into [1/4, 1/2), at most 2^960.  A subnormal peak would ask
+    for up to 2^1072, and the cap keeps any vector of entries below 2^63
+    finite under the scale."""
     # max(|re|, |im|) is within a factor sqrt(2) of the largest modulus, and
     # a NaN or an Inf anywhere reaches it
     parts = np.ascontiguousarray(basis).view(float)
     peak = np.maximum(parts.max(), -parts.min())
-    if not np.isfinite(peak):
-        raise InvalidPresentationError("basis contains NaN or Inf")
-    return basis, peak
+    _, e = np.frexp(peak)
+    return peak, np.ldexp(1.0, min(-int(e) - 1, 960))
 
 
 def _contraction(h: int) -> np.ndarray:

@@ -6,8 +6,9 @@ eigenpairs of a general matrix, not specific algorithms.  The extractor
 calls ``eig_general`` only for pencils that fail its normality
 certificate; a normal pencil is diagonalized in ``recovery`` from
 ``numpy.linalg.eigh``, and ``recovery`` alone decides whether either
-frame is good enough.  Matrices are plain 2-D complex ndarrays;
-validation rejects non-finite entries.
+frame is good enough.  Matrices are the plain 2-D complex ndarrays that
+``recovery`` builds, and they are not validated a second time: numpy's
+own refusals are the only ones.
 
 The numeric entry points of ``ivhs`` and ``recovery`` run under
 ``_one_blas_thread``: numpy's bundled OpenBLAS is held to one thread for
@@ -74,47 +75,25 @@ class EigenConvergenceError(TorelliLabError):
     """Eigeniteration did not converge."""
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Validate and coerce to a finite dense complex 2-D array."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"matrix must be 2-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains NaN or Inf entries")
-    return m
-
-
 def nullspace(a, rel_tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the right singular directions with
-    singular value <= rel_tol * sigma_max; shape (cols, k), k possibly 0."""
-    if not (0.0 < rel_tol < 1.0):
-        raise ValueError("rel_tol must lie in (0, 1)")
-    m = as_cmatrix(a)
-    if m.size == 0:
-        return np.eye(m.shape[1], dtype=complex)
+    """Orthonormal basis (columns) of the right singular directions of the
+    2-D array ``a`` with singular value <= rel_tol * sigma_max; shape
+    (cols, k), k possibly 0."""
     # a tall matrix's reduced vh is already square; only a wide one needs
     # the full one, and U is never read
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.eye(m.shape[1], dtype=complex)
-    ns = [vh[i].conj() for i in range(m.shape[1])
-          if i >= s.size or s[i] <= rel_tol * smax]
-    if not ns:
-        return np.empty((m.shape[1], 0), dtype=complex)
-    return np.column_stack(ns)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    rank = np.count_nonzero(s > rel_tol * s[0])
+    return np.ascontiguousarray(vh[rank:].conj().T)
 
 
 def eig_general(a):
     """(values, vectors) of a general square complex matrix: the eigenvalues
     and the unit eigenvectors that ``numpy.linalg.eig`` returns, vectors[:, k]
     pairing values[k].  Whether the frame is well conditioned is for the
-    caller to decide."""
-    m = as_cmatrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("eig_general needs a square matrix")
+    caller to decide.  numpy's ``LinAlgError`` (a matrix not square or not
+    finite, or no convergence) is the extractor's typed retry,
+    ``EigenConvergenceError``."""
     try:
-        values, vectors = np.linalg.eig(m)
+        return np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    return values, vectors

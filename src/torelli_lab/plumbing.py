@@ -72,17 +72,16 @@ class JetCoefficients(_ExactCore):
     """Finitely supported exact coefficients b[m, n], m, n >= 0,
     m + n <= max_order.
 
-    On the exact core of ``jets``: ``_num`` maps ``(m, n)`` to the pair
-    ``(k, 0)``, where ``k`` is the integer numerator of b[m, n] over the
-    common denominator ``_den``.  A sum has the larger ``max_order`` of its
-    terms, and a multiple keeps its own.
+    On the exact core of ``jets``: ``_num`` maps ``(m, n)`` to the integer
+    numerator of b[m, n] over the common denominator ``_den``.  A sum has
+    the larger ``max_order`` of its terms, and a multiple keeps its own.
     """
 
     __slots__ = ("max_order",)
 
     def __init__(self, b, max_order: int = MAX_ORDER_DEFAULT):
         max_order = _jet_order(max_order)
-        pairs = {}
+        values = {}
         for (m, n), value in dict(b).items():
             m, n = operator.index(m), operator.index(n)
             if m < 0 or n < 0:
@@ -90,8 +89,8 @@ class JetCoefficients(_ExactCore):
             if m + n > max_order:
                 raise JetOrderError(
                     f"jet index ({m}, {n}) exceeds max_order {max_order}")
-            pairs[(m, n)] = (_rat(value), 0)
-        super().__init__(pairs)
+            values[(m, n)] = _rat(value)
+        super().__init__(values)
         object.__setattr__(self, "max_order", max_order)
 
     def _result(self, other, out) -> "JetCoefficients":
@@ -103,10 +102,10 @@ class JetCoefficients(_ExactCore):
     def b(self) -> dict:
         """The nonzero coefficients as a new dict ``{(m, n): Fraction}``."""
         d = self._den
-        return {key: Fraction(k, d) for key, (k, _) in self._num.items()}
+        return {key: Fraction(k, d) for key, k in self._num.items()}
 
     def __getitem__(self, key) -> Fraction:
-        return Fraction(self._num.get(key, (0, 0))[0], self._den)
+        return Fraction(self._num.get(key, 0), self._den)
 
     def items(self):
         return sorted(self.b.items())
@@ -115,8 +114,8 @@ class JetCoefficients(_ExactCore):
 def _numerators(series: JetSeries, f: int):
     """The nonzero t^0 and t^1 numerators of ``series`` times ``f``, as two
     tuples of ``(exponent, numerator)``."""
-    return tuple(tuple((e, f * pair[t]) for e, pair in series._num.items()
-                       if pair[t]) for t in (0, 1))
+    return tuple(tuple((e, f * c) for (e, k), c in series._num.items()
+                       if k == t) for t in (0, 1))
 
 
 @functools.cache
@@ -146,10 +145,10 @@ def _chain_part(b: JetCoefficients, t: int) -> JetSeries:
     summed in one pass and returned as a canonical pure-q series."""
     images, den = _chain_factors(b.max_order)
     acc = {}
-    for (m, n), (k, _) in b._num.items():
+    for (m, n), k in b._num.items():
         for e, c in images[n][t]:
             acc[e + m] = acc.get(e + m, 0) + k * c
-    return JetSeries._lowest({e: (c, 0) for e, c in acc.items() if c},
+    return JetSeries._lowest({(e, 0): c for e, c in acc.items() if c},
                              den * b._den)
 
 
@@ -170,11 +169,11 @@ def closed_form_pair(b: JetCoefficients):
     # integer numerators over _den for omega and over 4*_den for eta
     omega = {}
     eta = {}
-    for (m, n), (k, _) in b._num.items():
+    for (m, n), k in b._num.items():
         e = m + n
         omega[e] = omega.get(e, 0) - k
         eta[e - 2] = eta.get(e - 2, 0) + (2 * n - 1) * k
-    return tuple(JetSeries._reduced({e: (k, 0) for e, k in num.items()}, den)
+    return tuple(JetSeries._reduced({(e, 0): k for e, k in num.items()}, den)
                  for num, den in ((omega, b._den), (eta, 4 * b._den)))
 
 
@@ -224,8 +223,8 @@ def _first_cross_mismatch(x: Fraction, s: JetSeries, y: Fraction,
     a = x.numerator * y.denominator * t._den
     c = y.numerator * x.denominator * s._den
     sn, tn = s._num, t._num
-    return min((e for e in sn.keys() | tn.keys()
-                if a * sn.get(e, (0, 0))[0] != c * tn.get(e, (0, 0))[0]),
+    return min((e for e, k in sn.keys() | tn.keys()
+                if k == 0 and a * sn.get((e, 0), 0) != c * tn.get((e, 0), 0)),
                default=None)
 
 
@@ -263,7 +262,7 @@ def random_jet_coefficients(rng: random.Random, max_order: int = MAX_ORDER_DEFAU
     over the denominator 1 without the constructor's checks."""
     max_order = _jet_order(max_order)
     draw = rng.randrange
-    num = {(m, n): (draw(-bound, bound + 1), 0)
+    num = {(m, n): draw(-bound, bound + 1)
            for m in range(max_order + 1) for n in range(max_order + 1 - m)}
     out = JetCoefficients._reduced(num, 1)
     object.__setattr__(out, "max_order", max_order)

@@ -44,6 +44,7 @@ from . import linalg
 from .errors import TorelliLabError, UsageError
 from .ivhs import (
     IVHSPresentation,
+    _peak_scale,
     normalize_phase,
     normalize_phase_rows,
     synthesize,
@@ -203,17 +204,26 @@ def extract_rank_ones(presentation: IVHSPresentation, seed: int):
     then gets one dual solve, a singular frame being a retry, and one
     certificate: kappa times the largest gap quotient at most
     ``FRAME_SIN_MAX``, with kappa = 1 by Davis-Kahan on a normal pencil and
-    kappa_F(V) by Bauer-Fike otherwise, an overflow reading as inf."""
+    kappa_F(V) by Bauer-Fike otherwise, an overflow reading as inf.
+
+    Both contracting covectors and the dual are scaled by the one power of
+    2 that ``ivhs._peak_scale`` reads off the basis peak, so recovery does
+    not depend on the basis scale: a basis times 2^k gives the same
+    factors to the last bit as long as no scaled entry is subnormal, and a
+    subnormal peak cannot make the scaled covectors overflow."""
     basis = presentation.basis
     n, h = presentation.N, presentation.h
     if n < 2:
         raise UsageError("extraction needs N >= 2")
     rng = np.random.default_rng(seed)
     stacked_t = basis.reshape(n * h, n).T
+    # every product below is that of the basis scaled to a unit peak, bit
+    # for bit, without a copy of the basis
+    _, scale = _peak_scale(basis)
     reasons = []
     for _ in range(EXTRACTION_RETRIES):
-        u1 = rng.standard_normal(h) + 1j * rng.standard_normal(h)
-        u2 = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+        u1 = (rng.standard_normal(h) + 1j * rng.standard_normal(h)) * scale
+        u2 = (rng.standard_normal(h) + 1j * rng.standard_normal(h)) * scale
         # p[a, j] = sum_d u[d] basis[j, d, a]
         p1 = (u1 @ basis).T
         p2 = (u2 @ basis).T
@@ -244,7 +254,7 @@ def extract_rank_ones(presentation: IVHSPresentation, seed: int):
             continue
         # slice k is the h x N matrix sum_a basis[:, :, a] dual[a, k], held
         # as its N x h transpose tall[k]
-        tall = (dual.T @ stacked_t).reshape(n, n, h)
+        tall = ((scale * dual.T) @ stacked_t).reshape(n, n, h)
         xs, confidences = _rank_one_bounds(tall)
         if np.all(confidences > CONFIDENCE_MIN):
             xs = normalize_phase_rows(xs)

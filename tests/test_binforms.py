@@ -79,7 +79,7 @@ def test_eval_examples():
     g = BinaryForm(2, [1, 0, 1])                       # Z0^2 + Z1^2
     p = ProjectivePointP1(1 / SQRT2, 1 / SQRT2)
     assert abs(eval_point(g, p) - 1.0) < 1e-14
-    assert eval_point(BinaryForm.zero(5), p) == 0
+    assert eval_point(BinaryForm(5, [0] * 6), p) == 0
 
 
 def test_exact_evaluation_is_exact():
@@ -277,7 +277,7 @@ def test_divisor_separation_matches_the_pairwise_loop(base, scale):
 
 def test_zero_form_has_no_divisor():
     with pytest.raises(ZeroFormError):
-        roots_projective(BinaryForm.zero(4))
+        roots_projective(BinaryForm(4, [0] * 5))
 
 
 def test_root_multiplicities_sum_exactly():
@@ -537,9 +537,9 @@ def test_squarefree_sees_the_point_at_infinity():
 
 def test_squarefree_and_coprime_rejects_zero():
     with pytest.raises(ZeroFormError):
-        form_is_squarefree(BinaryForm.zero(2))
+        form_is_squarefree(BinaryForm(2, [0] * 3))
     with pytest.raises(ZeroFormError):
-        forms_coprime(BinaryForm.zero(2), BinaryForm(1, [1, 0]))
+        forms_coprime(BinaryForm(2, [0] * 3), BinaryForm(1, [1, 0]))
 
 
 def test_poly_gcd_and_decomposition():

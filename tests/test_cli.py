@@ -12,7 +12,7 @@ import pytest
 
 import torelli_lab
 from conftest import save_surface
-from torelli_lab import ivhs, surfaces
+from torelli_lab import ivhs, recovery, surfaces
 from torelli_lab.cli import build_parser, main
 from torelli_lab.surfaces import make_random_general, make_with_I2
 
@@ -148,6 +148,31 @@ def test_ivhs_recover_flow(tmp_path):
     assert gdata["status"] == "ok"
     assert gdata["quadric_dim"] == 1
     assert gdata["min_confidence"] > 0.999
+
+
+@pytest.mark.parametrize("peak", [1e308, 1e-300])
+def test_recover_does_not_depend_on_the_basis_scale(tmp_path, peak):
+    # a period-data file at either end of the float range recovers the
+    # points of the file it was scaled from, with nothing on stderr: no
+    # traceback, no warning and no LAPACK complaint
+    surf = tmp_path / "s.json"
+    main(["generate", "--h", "3", "--seed", "3", "-o", str(surf)])
+    pres = tmp_path / "ivhs.json"
+    assert main(["ivhs", str(surf), "--seed", "4", "-o", str(pres)]) == 0
+    basis = ivhs.load_presentation(pres).basis
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(ivhs.presentation_to_json_dict(
+        ivhs.IVHSPresentation(h=3, N=38, basis=basis * (
+            peak / np.abs(basis).max())))))
+    points = []
+    for path in (pres, scaled):
+        geom = tmp_path / f"{path.stem}-geom.json"
+        done = run_module("recover", str(path), "--seed", "4",
+                          "-o", str(geom))
+        assert (done.returncode, done.stderr) == (0, "")
+        z = np.array(read_json(geom)["z_points"])
+        points.append(z[..., 0] + 1j * z[..., 1])
+    assert recovery.match_points(*points).max_chordal < 1e-9
 
 
 def test_recover_reports_the_line_degree(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 import torelli_lab
 from torelli_lab import ivhs, linalg, recovery
-from torelli_lab.linalg import as_cmatrix, eig_general, nullspace
+from torelli_lab.linalg import EigenConvergenceError, eig_general, nullspace
 from torelli_lab.recovery import StageError
 from torelli_lab.surfaces import make_random_general
 
@@ -24,13 +24,6 @@ def eigpair_residuals(a, values, vectors):
     return np.linalg.norm(a @ vectors - vectors * values, axis=0)
 
 
-def test_construction_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        as_cmatrix(np.array([[1.0, np.nan]]))
-    with pytest.raises(ValueError):
-        as_cmatrix(np.array([[np.inf, 1.0]]))
-
-
 def test_nullspace_examples():
     ns = nullspace(np.array([[1.0, 1.0], [1.0, 1.0]]), 1e-8)
     assert ns.shape == (2, 1)
@@ -38,13 +31,6 @@ def test_nullspace_examples():
     assert abs(abs(np.vdot(ns[:, 0], direction)) - 1.0) < 1e-12
     assert nullspace(np.eye(4), 1e-8).shape == (4, 0)
     assert nullspace(np.zeros((2, 3)), 1e-8).shape == (3, 3)
-
-
-def test_nullspace_rel_tol_validation():
-    with pytest.raises(ValueError):
-        nullspace(np.eye(2), 0.0)
-    with pytest.raises(ValueError):
-        nullspace(np.eye(2), 1.5)
 
 
 def test_nullspace_residual_bound():
@@ -115,8 +101,19 @@ def test_eig_returns_unit_eigenvectors():
     assert np.allclose(np.linalg.norm(vectors, axis=0), 1.0, atol=1e-14)
     assert np.all(eigpair_residuals(a, values, vectors)
                   <= 1e-12 * np.linalg.norm(a, 2))
-    with pytest.raises(ValueError, match="square"):
+    # numpy refuses a matrix that is not square, and the refusal is typed
+    with pytest.raises(EigenConvergenceError, match="square"):
         eig_general(random_complex(rng, 3, 4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_a_nonfinite_pencil_is_a_typed_eigen_failure(bad):
+    # the extractor retries an EigenConvergenceError; a pencil with a NaN
+    # or an Inf entry is numpy's LinAlgError, not an untyped crash
+    a = random_complex(np.random.default_rng(4), 5, 5)
+    a[2, 3] = bad
+    with pytest.raises(EigenConvergenceError, match="infs or NaNs"):
+        eig_general(a)
 
 
 def test_eig_recovers_separated_spectra():

@@ -658,10 +658,10 @@ def _assert_jets_match(new, old):
         for n in range(new.max_order + 2 - m):
             assert new[(m, n)] == old[(m, n)]
             assert type(new[(m, n)]) is Fraction
-    # canonical: lowest terms, no stored zero, denominator 1 for zero jets,
-    # and every stored pair (k, 0) has a zero t-part
-    numerators = [k for k, _ in new._num.values()]
-    assert all(t == 0 for _, t in new._num.values())
+    # canonical: one int numerator per key, lowest terms, no stored zero,
+    # and denominator 1 for zero jets
+    numerators = list(new._num.values())
+    assert all(type(k) is int for k in numerators)
     assert new._den > 0 and 0 not in numerators
     assert gcd(new._den, *numerators) == 1
     assert new._num or new._den == 1

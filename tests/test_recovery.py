@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,35 @@ def test_extraction_on_synthesized_surface():
     rec_y = np.vstack([f.y for f in factors])
     yrep = match_points(rec_y, truth.y_frame.T)
     assert yrep.max_chordal < 1e-6
+
+
+def _factor_bits(factors):
+    return [(f.x.tobytes(), f.y.tobytes(), f.confidence) for f in factors]
+
+
+@pytest.mark.parametrize("h, seed", [(3, 0), (8, 1)])
+def test_extraction_does_not_depend_on_the_basis_scale(h, seed):
+    # the contractions and the dual are scaled by one power of 2 from the
+    # basis peak, so a basis times 2^k gives the same factors to the last
+    # bit, with no overflow or underflow warning, as far as 2^-1000 and
+    # 2^1000 (about 1e-301 and 1e301)
+    pres = synthesize(make_random_general(h, seed=seed), seed=seed)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factors = extract_rank_ones(pres, seed)
+        want = _factor_bits(factors)
+        for k in (3, -3, 250, -250, 500, -500, 1000, -1000):
+            scaled = IVHSPresentation(h=h, N=pres.N,
+                                      basis=pres.basis * np.ldexp(1.0, k))
+            assert _factor_bits(extract_rank_ones(scaled, seed)) == want, k
+        # a subnormal peak (here about 1e-313) keeps some 33 bits: the
+        # scale is capped so that the contractions stay finite, and the
+        # points agree to what those bits resolve
+        tiny = IVHSPresentation(h=h, N=pres.N,
+                                basis=pres.basis * np.ldexp(1.0, -1040))
+        got = extract_rank_ones(tiny, seed)
+    assert match_points(np.vstack([f.x for f in got]),
+                        np.vstack([f.x for f in factors])).max_chordal < 1e-7
 
 
 def test_generic_subspace_is_rejected():

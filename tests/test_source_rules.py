@@ -18,7 +18,9 @@ fallback of ``recovery.match_points`` needs it, so it is imported there.
 Every private helper (a top-level function or class, or a method, named
 with a single leading underscore) is used in the package outside its own
 definition: a path the package no longer takes is deleted, not kept for
-its tests alone.
+its tests alone.  Every public function, class or method has a caller in
+the package, or is read by the benchmark's code, or is on the list of
+documented API that has no caller there; every listed name must exist.
 """
 
 import ast
@@ -34,8 +36,17 @@ SOURCES = sorted(Path(torelli_lab.__file__).parent.glob("*.py"))
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 BINFORMS = Path(torelli_lab.__file__).parent / "binforms.py"
+BENCH = [path for path in sorted(TRACING.parent.glob("*.py"))
+         if not path.name.startswith("test_")]
 JETS = Path(torelli_lab.__file__).parent / "jets.py"
 PLUMBING = Path(torelli_lab.__file__).parent / "plumbing.py"
+# public names that nothing in the package calls: documented API, listed in
+# the README's library table, and argparse's hook for a rejected argument
+DOCUMENTED_API = {"binforms.py: ProjectivePointP1.chordal",
+                  "ivhs.py: canonical_point",
+                  "jets.py: JetSeries.t_component",
+                  "plumbing.py: check_closed_forms",
+                  "cli.py: _Parser.error"}
 # with every ``poly_*`` function, the exact layer of binforms
 EXACT_LAYER = {"_int_primitive", "_to_int_primitive", "_pseudo_rem",
                "_heu_gcd", "gcd_is_constant", "squarefree_decomposition",
@@ -251,3 +262,93 @@ def test_every_private_helper_is_used_in_the_package():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in SOURCES}
     assert _unused_private_helpers(trees) == []
+
+
+def _public_definitions(tree):
+    """``(name, node, is_method)`` for the top-level functions and classes
+    and the methods of ``tree`` whose names do not start with an
+    underscore; a method's name is qualified by its class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            yield node.name, node, False
+        for d in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(d, kinds) and not d.name.startswith("_"):
+                yield f"{node.name}.{d.name}", d, True
+
+
+def _reads(tree):
+    """``(name, line, is_attribute)`` of every name and attribute that
+    ``tree`` loads; an assignment is not a read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno, False
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            yield node.attr, node.lineno, True
+
+
+def _uncalled_public_names(trees, readers):
+    """``file: name`` for each public definition of ``trees`` (a dict of
+    file name to syntax tree) without a caller.  A function or class is
+    called by a name or an attribute that reads it outside its own
+    definition, and a method by an attribute alone, since a local variable
+    of the same name calls nothing.  A name that ``readers`` (syntax trees
+    of code built on the package) read, or spell in a dotted string, as
+    the tracer's targets do, counts as called."""
+    uses = {}
+    for name, tree in trees.items():
+        for ref, line, attribute in _reads(tree):
+            uses.setdefault(ref, []).append((name, line, attribute))
+    read = set()
+    for tree in readers:
+        read |= {ref for ref, _, _ in _reads(tree)}
+        read |= {part for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str)
+                 for part in node.value.split(".")}
+    found = []
+    for name, tree in trees.items():
+        for qualified, node, is_method in _public_definitions(tree):
+            outside = [(f, line) for f, line, attribute
+                       in uses.get(node.name, ()) if attribute or not is_method]
+            if node.name not in read and not any(
+                    f != name or not node.lineno <= line <= node.end_lineno
+                    for f, line in outside):
+                found.append(f"{name}: {qualified}")
+    return found
+
+
+def test_the_public_name_rule_sees_methods_readers_and_local_names():
+    source = """
+def used(): pass
+def unused(): pass
+def recursive(n): return recursive(n - 1)
+def traced(): pass
+class Box:
+    def called(self): pass
+    def shadowed(self): pass
+    def benched(self): pass
+    def _private(self): pass
+def main():
+    shadowed = used()
+    return Box().called(), shadowed
+"""
+    bench = """
+import m
+TARGETS = [("m", "traced")]
+m.Box().benched()
+"""
+    assert _uncalled_public_names({"m": ast.parse(source)},
+                                  [ast.parse(bench)]) == [
+        "m: unused", "m: recursive", "m: Box.shadowed", "m: main"]
+
+
+def test_every_public_name_has_a_caller_or_is_documented_api():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    defined = {f"{name}: {qualified}" for name, tree in trees.items()
+               for qualified, _, _ in _public_definitions(tree)}
+    assert DOCUMENTED_API <= defined
+    readers = [ast.parse(path.read_text(encoding="utf-8")) for path in BENCH]
+    assert set(_uncalled_public_names(trees, readers)) <= DOCUMENTED_API

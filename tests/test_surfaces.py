@@ -77,7 +77,7 @@ def test_gate():
 
 
 def test_positive_genus_unimplemented():
-    g4 = BinaryForm.zero(16)
+    g4 = BinaryForm(16, [0] * 17)
     g6 = BinaryForm.from_affine([1], 24)
     with pytest.raises(UnsupportedGenusError):
         WeierstrassSurface(4, g4, g6, q=1)
